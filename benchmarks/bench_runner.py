@@ -54,17 +54,17 @@ import os
 import statistics
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.complexity.oracles import count_sat_calls  # noqa: E402
 from repro.engine.cache import ENGINE_CACHE  # noqa: E402
 from repro.logic.formula import Var  # noqa: E402
 from repro.logic.parser import parse_formula  # noqa: E402
 from repro.models.enumeration import minimal_models_brute  # noqa: E402
+from repro.obs.accounting import OracleObservation, observe  # noqa: E402
 from repro.runtime.budget import Budget, budget_scope  # noqa: E402
 from repro.sat.decompose import connected_components  # noqa: E402
 from repro.sat.incremental import (  # noqa: E402
@@ -167,7 +167,7 @@ def run_repeated_suite(name, make_db, runner, repeat, attempts=3) -> Dict:
             clear_solver_pool()
             ENGINE_CACHE.clear()
             start = time.perf_counter()
-            with count_sat_calls() as counter:
+            with observe() as window:
                 answers[engine] = runner(db, repeat, engine)
             elapsed = (time.perf_counter() - start) * 1000.0
             wall_ms = elapsed if wall_ms is None else min(wall_ms, elapsed)
@@ -175,7 +175,7 @@ def run_repeated_suite(name, make_db, runner, repeat, attempts=3) -> Dict:
         key = "pooled" if engine == "oracle" else "fresh"
         record[key] = {
             "wall_ms": round(wall_ms, 3),
-            "sat_calls": counter.calls,
+            "sat_calls": window.np_calls,
             "solvers_created": pool["solvers_created"],
             "solver_reuses": pool["solver_reuses"],
             "reuse_rate": round(pool["reuse_rate"], 4),
@@ -252,7 +252,6 @@ def run_fragment_suite(
     name, make_db, names, queries, repeat, attempts=3
 ) -> Dict:
     from repro.analysis import fragment_profile
-    from repro.obs.accounting import observe
 
     db = make_db()
     record: Dict = {
@@ -263,7 +262,7 @@ def run_fragment_suite(
         "repeat": repeat,
     }
     answers: Dict[str, List] = {}
-    meters: Dict[str, Tuple] = {}
+    meters: Dict[str, OracleObservation] = {}
 
     def timed_leg(engine: str) -> float:
         # Cold start each sample: the planner pays for its own fragment
@@ -272,11 +271,11 @@ def run_fragment_suite(
         clear_solver_pool()
         ENGINE_CACHE.clear()
         start = time.perf_counter()
-        with observe() as window, count_sat_calls() as counter:
+        with observe() as window:
             answers[engine] = _suite_fragment_queries(
                 db, names, queries, repeat, engine
             )
-        meters[engine] = (window, counter)
+        meters[engine] = window
         return (time.perf_counter() - start) * 1000.0
 
     legs = (
@@ -300,10 +299,10 @@ def run_fragment_suite(
         for engine, key in legs:
             walls[key].append(timed_leg(engine))
     for engine, key in legs:
-        window, counter = meters[engine]
+        window = meters[engine]
         record[key] = {
             "wall_ms": round(min(walls[key]), 3),
-            "sat_calls": counter.calls,
+            "sat_calls": window.np_calls,
             "np_calls": window.np_calls,
             "sigma2_dispatches": window.sigma2_dispatches,
         }
@@ -470,7 +469,6 @@ def run_kernel_suite(
     gate statistic taken from the best paired round.
     """
     from repro.analysis import fragment_profile
-    from repro.obs.accounting import observe
 
     db = make_db()
     planned_probe = get_semantics(names[0], engine="planned")
@@ -485,17 +483,17 @@ def run_kernel_suite(
         "planned_procedure": planned_probe.plan_for(db, "infers").procedure,
     }
     answers: Dict[str, List] = {}
-    meters: Dict[str, Tuple] = {}
+    meters: Dict[str, OracleObservation] = {}
 
     def timed_leg(engine: str) -> float:
         clear_solver_pool()
         ENGINE_CACHE.clear()
         start = time.perf_counter()
-        with observe() as window, count_sat_calls() as counter:
+        with observe() as window:
             answers[engine] = _suite_fragment_queries(
                 db, names, queries, repeat, engine
             )
-        meters[engine] = (window, counter)
+        meters[engine] = window
         return (time.perf_counter() - start) * 1000.0
 
     legs = (("oracle", "pooled"), ("planned", "kernel"))
@@ -506,10 +504,10 @@ def run_kernel_suite(
         for engine, key in legs:
             walls[key].append(timed_leg(engine))
     for engine, key in legs:
-        window, counter = meters[engine]
+        window = meters[engine]
         record[key] = {
             "wall_ms": round(min(walls[key]), 3),
-            "sat_calls": counter.calls,
+            "sat_calls": window.np_calls,
             "np_calls": window.np_calls,
             "sigma2_dispatches": window.sigma2_dispatches,
         }

@@ -21,8 +21,8 @@ Run with::
 import pytest
 
 from repro.complexity.machines import linear_inference, theta_inference
-from repro.complexity.oracles import count_sat_calls
 from repro.logic.parser import parse_formula
+from repro.obs.accounting import observe
 from repro.semantics import get_semantics
 from repro.workloads import disjunctive_chain, exclusive_pairs
 
@@ -33,9 +33,9 @@ SIZES = [2, 4, 6]
 def test_p_cell_ddr_literal(benchmark, size):
     db = exclusive_pairs(size)
     semantics = get_semantics("ddr")
-    with count_sat_calls() as counter:
+    with observe() as window:
         semantics.infers_literal(db, "not x1")
-    assert counter.calls == 0
+    assert window.np_calls == 0
     benchmark(semantics.infers_literal, db, "not x1")
 
 
@@ -44,9 +44,9 @@ def test_conp_cell_ddr_formula(benchmark, size):
     db = exclusive_pairs(size)
     semantics = get_semantics("ddr")
     formula = parse_formula("x1 | y1")
-    with count_sat_calls() as counter:
+    with observe() as window:
         semantics.infers(db, formula)
-    assert counter.calls == 1
+    assert window.np_calls == 1
     benchmark(semantics.infers, db, formula)
 
 

@@ -17,10 +17,10 @@ import time
 import pytest
 
 from repro.complexity.machines import theta_inference
-from repro.complexity.oracles import count_sat_calls
 from repro.engine import parallel_map
 from repro.engine.cache import ENGINE_CACHE
 from repro.logic.atoms import Literal
+from repro.obs.accounting import observe
 from repro.semantics import get_semantics
 from repro.workloads import random_positive_db, random_query_formula
 
@@ -75,10 +75,10 @@ def test_model_existence(benchmark, row):
     """Table 1, column 'exists model' — all O(1) for positive DDBs."""
     db = _workload()
     semantics = get_semantics(row)
-    with count_sat_calls() as counter:
+    with observe() as window:
         answer = semantics.has_model(db)
     assert answer is True
-    assert counter.calls == 0, "O(1) cell must not call the oracle"
+    assert window.np_calls == 0, "O(1) cell must not call the oracle"
     benchmark(semantics.has_model, db)
 
 
@@ -89,9 +89,9 @@ def test_tractable_literal_cells_use_no_oracle(benchmark, row):
     db = _workload()
     semantics = get_semantics(row)
     literal = "not " + sorted(db.vocabulary)[0]
-    with count_sat_calls() as counter:
+    with observe() as window:
         semantics.infers_literal(db, literal)
-    assert counter.calls == 0
+    assert window.np_calls == 0
     benchmark(semantics.infers_literal, db, literal)
 
 

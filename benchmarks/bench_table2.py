@@ -14,9 +14,9 @@ import time
 import pytest
 
 from repro.complexity.machines import theta_inference
-from repro.complexity.oracles import count_sat_calls
 from repro.engine.cache import ENGINE_CACHE
 from repro.logic.atoms import Literal
+from repro.obs.accounting import observe
 from repro.semantics import get_semantics
 from repro.workloads import (
     random_deductive_db,
@@ -85,13 +85,13 @@ def test_model_existence(benchmark, row):
     db = _workload(row)
     semantics = get_semantics(row)
     expected = get_semantics(row, engine="brute").has_model(db)
-    with count_sat_calls() as counter:
+    with observe() as window:
         answer = semantics.has_model(db)
     assert answer == expected
     if row == "icwa":
-        assert counter.calls == 0, "ICWA existence is O(1) given strata"
+        assert window.np_calls == 0, "ICWA existence is O(1) given strata"
     elif row in ("gcwa", "egcwa", "ccwa", "ecwa", "circ", "ddr", "pws"):
-        assert counter.calls <= 1, "NP cell must be a single oracle call"
+        assert window.np_calls <= 1, "NP cell must be a single oracle call"
     benchmark(semantics.has_model, db)
 
 
@@ -101,9 +101,9 @@ def test_ddr_literal_needs_oracle_with_ics(benchmark):
     db = random_deductive_db(ATOMS, CLAUSES, ic_fraction=0.5, seed=1)
     semantics = get_semantics("ddr")
     literal = "not " + sorted(db.vocabulary)[0]
-    with count_sat_calls() as counter:
+    with observe() as window:
         semantics.infers_literal(db, literal)
-    assert counter.calls >= 1
+    assert window.np_calls >= 1
     benchmark(semantics.infers_literal, db, literal)
 
 

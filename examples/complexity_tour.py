@@ -20,13 +20,9 @@ Run with::
 """
 
 from repro import parse_formula
-from repro.complexity import (
-    Sigma2Oracle,
-    count_sat_calls,
-    linear_inference,
-    theta_inference,
-)
+from repro.complexity import Sigma2Oracle, linear_inference, theta_inference
 from repro.complexity.reductions import qbf_to_minimal_entailment
+from repro.obs import observe
 from repro.qbf import dnf_formula, exists_forall, solve_qbf2_cegar
 from repro.semantics import get_semantics
 from repro.workloads import exclusive_pairs
@@ -40,23 +36,23 @@ def main() -> None:
 
     # 1. Tractable: DDR literal inference (Table 1: in P).
     ddr = get_semantics("ddr")
-    with count_sat_calls() as counter:
+    with observe() as window:
         answer = ddr.infers_literal(db, "not x1")
     print(f"1. DDR |= not x1?  {answer}  "
-          f"(NP-oracle calls: {counter.calls} — pure fixpoint)")
+          f"(NP-oracle calls: {window.np_calls} — pure fixpoint)")
 
     # 2. coNP: DDR formula inference is a single UNSAT call.
-    with count_sat_calls() as counter:
+    with observe() as window:
         answer = ddr.infers(db, parse_formula("x1 | y1"))
     print(f"2. DDR |= x1 | y1?  {answer}  "
-          f"(NP-oracle calls: {counter.calls})")
+          f"(NP-oracle calls: {window.np_calls})")
 
     # 3. Pi2p: EGCWA inference needs minimality checks.
     egcwa = get_semantics("egcwa")
-    with count_sat_calls() as counter:
+    with observe() as window:
         answer = egcwa.infers(db, parse_formula("~x1 | ~y1"))
     print(f"3. EGCWA |= ~x1 | ~y1?  {answer}  "
-          f"(NP-oracle calls: {counter.calls} — guess + check)")
+          f"(NP-oracle calls: {window.np_calls} — guess + check)")
 
     # 4. Theta: O(log n) Sigma2-oracle calls vs the linear algorithm.
     formula = parse_formula("x1 | y1")

@@ -280,7 +280,6 @@ class HeadCycleFreeSolver(MinimalModelSolver):
             tried = 0
             while max_candidates is None or tried < max_candidates:
                 check_deadline()
-                self.sat_calls += 1
                 if not searcher.solve():
                     return None
                 candidate = searcher.model(restrict_to=self.universe)
@@ -314,7 +313,6 @@ class HeadCycleFreeSolver(MinimalModelSolver):
         leave condition-independent full-assignment blocks behind."""
         while True:
             check_deadline()
-            self.sat_calls += 1
             if not searcher.solve([assumption]):
                 return None
             candidate = searcher.model(restrict_to=self.universe)

@@ -20,13 +20,7 @@ from .hierarchy import (
     strictness_caveat,
 )
 from .machines import ThetaResult, linear_inference, theta_inference
-from .oracles import (
-    OracleProfile,
-    SatCallCount,
-    Sigma2Oracle,
-    count_sat_calls,
-    profile,
-)
+from .oracles import OracleProfile, Sigma2Oracle, profile
 from .verify import ReductionReport, check_reduction
 
 __all__ = [
@@ -48,9 +42,7 @@ __all__ = [
     "linear_inference",
     "theta_inference",
     "OracleProfile",
-    "SatCallCount",
     "Sigma2Oracle",
-    "count_sat_calls",
     "profile",
     "ReductionReport",
     "check_reduction",

@@ -39,6 +39,7 @@ from ..logic.formula import Formula, Implies, Not, Var, conj, disj
 from ..logic.transform import rename_atoms
 from ..obs.accounting import (
     note_sigma2_dispatch as _note_sigma2_dispatch,
+    observe,
     sigma2_dispatch as _sigma2_dispatch,
 )
 from ..runtime.budget import check_deadline
@@ -170,14 +171,13 @@ def _solve_union_query(
     from ..sat.minimal import PZMinimalModelSolver
 
     oracle.queries += 1
-    from .oracles import count_sat_calls
 
     # One Σ₂ᵖ dispatch: the inner CEGAR loop only consults the NP oracle
     # (``witness_below`` is a single SAT call), so the dispatch depth
     # stays at one no matter how many refinement rounds run.  The union
     # database is freshly renamed per query, so the scope is a throwaway
     # (``reuse=False``): never pooled, but still budget-aware.
-    with _sigma2_dispatch(), count_sat_calls() as counter:
+    with _sigma2_dispatch(), observe() as window:
         union, renamings = _copied_database(db, k)
         with pooled_scope(union, reuse=False) as searcher:
             searcher.add_formula(
@@ -214,7 +214,7 @@ def _solve_union_query(
                 if not refined:
                     result = True
                     break
-    oracle.inner_sat_calls += counter.calls
+    oracle.inner_sat_calls += window.np_calls
     return result
 
 
@@ -271,13 +271,12 @@ def _degenerate_final_query(
     own realization site so each function performs exactly one dispatch
     — the static certifier checks nesting per definition (RPR103)."""
     from ..sat.solver import formula_is_satisfiable
-    from .oracles import count_sat_calls
 
     oracle.queries += 1
     _note_sigma2_dispatch()
-    with count_sat_calls() as counter:
+    with observe() as window:
         answer = formula_is_satisfiable(side)
-    oracle.inner_sat_calls += counter.calls
+    oracle.inner_sat_calls += window.np_calls
     return answer
 
 

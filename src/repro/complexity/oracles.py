@@ -2,11 +2,10 @@
 
 The paper's upper-bound proofs are algorithms for oracle Turing machines:
 "polynomial time with an NP oracle", "O(log n) calls to a Σ₂ᵖ oracle",
-"a guess verified in polynomial time with an NP oracle".  This module
-makes those resources *observable*:
+"a guess verified in polynomial time with an NP oracle".  NP-oracle
+(SAT ``solve``) calls are counted by :func:`repro.obs.accounting.observe`
+windows (``np_calls``); this module makes the rest *observable*:
 
-* :func:`count_sat_calls` — context manager counting every NP-oracle
-  (SAT ``solve``) call made anywhere in the package;
 * :class:`Sigma2Oracle` — a Σ₂ᵖ oracle whose queries are "is there a
   (P;Z)-minimal model of this database satisfying this condition?" (the
   primitive all of the paper's Σ₂ᵖ upper bounds factor through), with a
@@ -19,39 +18,15 @@ The point is not performance: it is that the *shape* of the oracle usage
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Optional
 
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Not
 from ..logic.interpretation import Interpretation
+from ..obs.accounting import observe
 from ..runtime.budget import check_deadline
 from ..sat.minimal import MinimalModelSolver, PZMinimalModelSolver
-from ..sat.solver import GLOBAL_SAT_CALLS
-
-
-@dataclass
-class SatCallCount:
-    """Mutable result object of :func:`count_sat_calls`."""
-
-    calls: int = 0
-
-
-@contextmanager
-def count_sat_calls() -> Iterator[SatCallCount]:
-    """Count NP-oracle (SAT) calls made inside the ``with`` block::
-
-        with count_sat_calls() as counter:
-            semantics.infers(db, formula)
-        print(counter.calls)
-    """
-    start = GLOBAL_SAT_CALLS.calls
-    record = SatCallCount()
-    try:
-        yield record
-    finally:
-        record.calls = GLOBAL_SAT_CALLS.calls - start
 
 
 class Sigma2Oracle:
@@ -81,19 +56,7 @@ class Sigma2Oracle:
 
         ``p`` defaults to the whole vocabulary (plain subset-minimality).
         """
-        check_deadline()
-        self.queries += 1
-        with count_sat_calls() as counter:
-            if p is None or frozenset(p) == frozenset(db.vocabulary):
-                witness = MinimalModelSolver(db).find_minimal_satisfying(
-                    condition
-                )
-            else:
-                witness = PZMinimalModelSolver(
-                    db, p, z
-                ).find_minimal_satisfying(condition)
-        self.inner_sat_calls += counter.calls
-        return witness is not None
+        return self.witness(db, condition, p=p, z=z) is not None
 
     def witness(
         self,
@@ -105,7 +68,7 @@ class Sigma2Oracle:
         """Like :meth:`query` but returning the witnessing model."""
         check_deadline()
         self.queries += 1
-        with count_sat_calls() as counter:
+        with observe() as window:
             if p is None or frozenset(p) == frozenset(db.vocabulary):
                 witness = MinimalModelSolver(db).find_minimal_satisfying(
                     condition
@@ -114,7 +77,7 @@ class Sigma2Oracle:
                 witness = PZMinimalModelSolver(
                     db, p, z
                 ).find_minimal_satisfying(condition)
-        self.inner_sat_calls += counter.calls
+        self.inner_sat_calls += window.np_calls
         return witness
 
     def entails(
@@ -148,6 +111,6 @@ class OracleProfile:
 
 def profile(callable_, *args, **kwargs) -> OracleProfile:
     """Run ``callable_`` and record the NP-oracle calls it made."""
-    with count_sat_calls() as counter:
+    with observe() as window:
         answer = callable_(*args, **kwargs)
-    return OracleProfile(answer=bool(answer), sat_calls=counter.calls)
+    return OracleProfile(answer=bool(answer), sat_calls=window.np_calls)

@@ -18,15 +18,18 @@ This module is the single place where those dispatches are ticked:
 * :func:`note_nodes` — brute-force search nodes, fed from
   :func:`repro.runtime.budget.note_nodes`.
 
-Dispatch *depth* is tracked in a :class:`~contextvars.ContextVar`, so
+Each tick goes to two places: the process-wide monotone counters
+(:func:`totals`, the ``repro_oracle_*`` metrics) and every
+:func:`observe` window open in the *calling* :class:`~contextvars.
+ContextVar` context.  Dispatch depth is context-local the same way, so
 re-entrant Σ₂ᵖ dispatches (which the certifier must flag for Π₂ᵖ
 claims) are visible even across generator suspensions in the same
-context.
-
-:func:`observe` captures a window of this global stream: it snapshots
-the monotone counters at entry and fills an :class:`OracleObservation`
-with the deltas (plus the max dispatch depth seen *inside the window*)
-at exit.  Observations nest; each sees only its own window.
+context.  A window therefore counts its own query's work only, however
+many threads tick concurrently, and reads no process-wide counter.
+Observations nest; each sees only its own window.  CDCL search
+statistics reach the windows per solver checkout
+(:meth:`repro.sat.incremental.SolverPool.release` calls
+:func:`charge_solver_stats`).
 
 :func:`record_plan_outcome` closes the planner's feedback loop: every
 planned session query compares the cost model's prediction against the
@@ -38,10 +41,11 @@ calibration band the test suite asserts (0.25x–4x).
 from __future__ import annotations
 
 import functools
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, Tuple
 
 from repro.obs.metrics import METRICS
 
@@ -76,8 +80,14 @@ PLANNER_NP_RATIO = METRICS.histogram(
 #: Current Σ₂ᵖ dispatch nesting depth in this context (0 = outside any).
 _DISPATCH_DEPTH: ContextVar[int] = ContextVar("repro_sigma2_depth", default=0)
 
+#: A live observation window: each thread that ticked inside it maps to
+#: its own tally.  A context copied inside a window and run on another
+#: thread (an executor task) shares the window, but every thread writes
+#: only its own tally, so ticks need no lock and none is lost.
+_Window = Dict[int, "OracleObservation"]
+
 #: Stack of live observation windows in this context.
-_ACTIVE: ContextVar[Tuple["_Window", ...]] = ContextVar(
+_ACTIVE: ContextVar[Tuple[_Window, ...]] = ContextVar(
     "repro_obs_windows", default=()
 )
 
@@ -90,6 +100,9 @@ class OracleObservation:
     sigma2_dispatches: int = 0
     nodes: int = 0
     max_sigma2_depth: int = 0
+    #: CDCL search statistics of the pooled solvers checked out inside
+    #: the window (see :func:`charge_solver_stats`).
+    solver_stats: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -109,24 +122,29 @@ class OracleObservation:
         )
 
 
-class _Window:
-    __slots__ = ("start_np", "start_sigma2", "start_nodes", "max_depth")
-
-    def __init__(self) -> None:
-        self.start_np = NP_CALLS.value
-        self.start_sigma2 = SIGMA2_DISPATCHES.value
-        self.start_nodes = SEARCH_NODES.value
-        self.max_depth = 0
+def _tally(window: _Window, thread: int) -> OracleObservation:
+    """``thread``'s tally in ``window``."""
+    return window.get(thread) or window.setdefault(thread, OracleObservation())
 
 
 def note_np_call() -> None:
     """Tick one NP-oracle invocation."""
     NP_CALLS.inc()
+    windows = _ACTIVE.get()
+    if windows:
+        thread = threading.get_ident()
+        for window in windows:
+            _tally(window, thread).np_calls += 1
 
 
 def note_nodes(count: int = 1) -> None:
     """Tick ``count`` brute-force search nodes."""
     SEARCH_NODES.inc(count)
+    windows = _ACTIVE.get()
+    if windows:
+        thread = threading.get_ident()
+        for window in windows:
+            _tally(window, thread).nodes += count
 
 
 def current_dispatch_depth() -> int:
@@ -134,21 +152,24 @@ def current_dispatch_depth() -> int:
     return _DISPATCH_DEPTH.get()
 
 
-def _record_depth(depth: int) -> None:
-    if depth > MAX_DISPATCH_DEPTH.value:
-        MAX_DISPATCH_DEPTH.set(depth)
-    for window in _ACTIVE.get():
-        if depth > window.max_depth:
-            window.max_depth = depth
+def _note_dispatch(depth: int) -> None:
+    SIGMA2_DISPATCHES.inc()
+    MAX_DISPATCH_DEPTH.set_max(depth)
+    windows = _ACTIVE.get()
+    if windows:
+        thread = threading.get_ident()
+        for window in windows:
+            tally = _tally(window, thread)
+            tally.sigma2_dispatches += 1
+            tally.max_sigma2_depth = max(tally.max_sigma2_depth, depth)
 
 
 @contextmanager
 def sigma2_dispatch() -> Iterator[None]:
     """One Σ₂ᵖ-oracle dispatch; nested dispatches raise the depth."""
-    SIGMA2_DISPATCHES.inc()
     depth = _DISPATCH_DEPTH.get() + 1
     token = _DISPATCH_DEPTH.set(depth)
-    _record_depth(depth)
+    _note_dispatch(depth)
     try:
         yield
     finally:
@@ -158,8 +179,27 @@ def sigma2_dispatch() -> Iterator[None]:
 def note_sigma2_dispatch() -> None:
     """A degenerate (no inner work) Σ₂ᵖ dispatch, e.g. the machine's
     ``k* = 0`` branch that answers with a single plain SAT call."""
-    SIGMA2_DISPATCHES.inc()
-    _record_depth(_DISPATCH_DEPTH.get() + 1)
+    _note_dispatch(_DISPATCH_DEPTH.get() + 1)
+
+
+def open_windows() -> Tuple[_Window, ...]:
+    """The windows open in the calling context, for work that is charged
+    later (a solver checkout is charged when it is released)."""
+    return _ACTIVE.get()
+
+
+def charge_solver_stats(
+    windows: Tuple[_Window, ...],
+    before: Dict[str, int],
+    after: Dict[str, int],
+) -> None:
+    """Add the CDCL statistics one solver spent between two snapshots of
+    its counters to ``windows`` (from :func:`open_windows`)."""
+    thread = threading.get_ident()
+    for window in windows:
+        stats = _tally(window, thread).solver_stats
+        for name, value in after.items():
+            stats[name] = stats.get(name, 0) + value - before.get(name, 0)
 
 
 def counts_as_sigma2_dispatch(fn):
@@ -178,23 +218,29 @@ def counts_as_sigma2_dispatch(fn):
 def observe() -> Iterator[OracleObservation]:
     """Capture the oracle work of a code window.
 
-    The yielded :class:`OracleObservation` is filled when the block
-    exits (including on error — a budget trip mid-query still leaves a
-    meaningful partial observation behind).
+    Only ticks from the calling context (and contexts copied from it
+    inside the window) count.  The yielded :class:`OracleObservation` is
+    filled when the block exits (including on error — a budget trip
+    mid-query still leaves a meaningful partial observation behind);
+    later ticks never change it.
     """
     observation = OracleObservation()
-    window = _Window()
+    window: _Window = {}
     token = _ACTIVE.set(_ACTIVE.get() + (window,))
     try:
         yield observation
     finally:
         _ACTIVE.reset(token)
-        observation.np_calls = NP_CALLS.value - window.start_np
-        observation.sigma2_dispatches = (
-            SIGMA2_DISPATCHES.value - window.start_sigma2
-        )
-        observation.nodes = SEARCH_NODES.value - window.start_nodes
-        observation.max_sigma2_depth = window.max_depth
+        stats = observation.solver_stats
+        for tally in list(window.values()):
+            observation.np_calls += tally.np_calls
+            observation.sigma2_dispatches += tally.sigma2_dispatches
+            observation.nodes += tally.nodes
+            observation.max_sigma2_depth = max(
+                observation.max_sigma2_depth, tally.max_sigma2_depth
+            )
+            for name, value in tally.solver_stats.items():
+                stats[name] = stats.get(name, 0) + value
 
 
 def record_plan_outcome(plan, observation: OracleObservation) -> None:

@@ -104,6 +104,13 @@ class Gauge(Counter):
     def dec(self, amount: int = 1) -> None:
         self.inc(-amount)
 
+    def set_max(self, value: int) -> None:
+        """Raise the value to ``value`` if that is larger: one critical
+        section, so a concurrent smaller value never overwrites it."""
+        with self._lock:
+            if value > self._value:
+                self._value = value
+
 
 class Histogram:
     """A fixed-bucket histogram (cumulative buckets, sum and count)."""

@@ -47,7 +47,6 @@ plan, so a pooled call is governed exactly like a fresh one.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -69,6 +68,7 @@ from ..logic.cnf import Cnf, tseitin
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
+from ..obs.accounting import charge_solver_stats, open_windows
 from ..obs.metrics import METRICS
 from .solver import SatSolver
 
@@ -296,6 +296,9 @@ class IncrementalSatSolver:
         #: Stamp of the checkout window this solver was last handed out
         #: under (see :func:`checkout_token`); ``None`` outside windows.
         self._last_checkout_token: Optional[object] = None
+        #: ``(observation windows, core stats)`` recorded by the pool at
+        #: checkout; :meth:`SolverPool.release` charges the difference.
+        self._charge: Optional[Tuple[tuple, Dict[str, int]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -438,9 +441,11 @@ class SolverPool:
     Solvers are checked out by :meth:`acquire` (removed from the pool, so
     concurrent users never share mutable CDCL state) and parked again by
     :meth:`release`.  Counters track creations, reuses and the learned
-    clauses that were warm at each reuse; :meth:`core_stats` aggregates
-    the CDCL statistics of every solver the pool has ever built, which is
-    what lets sessions report *per-query deltas* from long-lived solvers.
+    clauses that were warm at each reuse.  Each checkout's CDCL work is
+    charged at release to the :func:`~repro.obs.accounting.observe`
+    windows open at checkout — exact, because a checked-out solver has
+    one user — which is what lets sessions report *per-query deltas*
+    from long-lived solvers.
     """
 
     def __init__(self, maxsize: int = DEFAULT_POOL_MAXSIZE):
@@ -451,9 +456,6 @@ class SolverPool:
             OrderedDict()
         )
         self._lock = threading.RLock()
-        self._tracked: "weakref.WeakSet[IncrementalSatSolver]" = (
-            weakref.WeakSet()
-        )
         self.created = 0
         self.reused = 0
         self.repeat_checkouts = 0
@@ -477,22 +479,21 @@ class SolverPool:
         token = _CHECKOUT_TOKEN.get()
         with self._lock:
             solver = self._entries.pop(key, None)
-            if solver is not None:
-                if (
-                    token is not None
-                    and solver._last_checkout_token is token
-                ):
-                    self.repeat_checkouts += 1
-                else:
-                    self.reused += 1
-                    self.clauses_retained += solver.num_learned()
-                solver._last_checkout_token = token
-                return solver
-            self.created += 1
-        solver = builder()
+            if solver is None:
+                self.created += 1
+            elif token is not None and solver._last_checkout_token is token:
+                self.repeat_checkouts += 1
+            else:
+                self.reused += 1
+                self.clauses_retained += solver.num_learned()
+        windows = open_windows()
+        if solver is None:
+            solver = builder()
+            before: Dict[str, int] = {}
+        else:
+            before = solver.core_stats() if windows else {}
         solver._last_checkout_token = token
-        with self._lock:
-            self._tracked.add(solver)
+        solver._charge = (windows, before) if windows else None
         return solver
 
     def release(
@@ -503,6 +504,9 @@ class SolverPool:
         Solvers past :data:`RETIRED_SCOPE_LIMIT` are discarded (their
         inert clauses outweigh their learned ones), as is a duplicate
         release for a key that is already parked."""
+        charge, solver._charge = solver._charge, None
+        if charge is not None:
+            charge_solver_stats(charge[0], charge[1], solver.core_stats())
         with self._lock:
             self.released += 1
             if (
@@ -523,7 +527,6 @@ class SolverPool:
         """Drop every parked solver and reset all counters."""
         with self._lock:
             self._entries.clear()
-            self._tracked = weakref.WeakSet()
             self.created = 0
             self.reused = 0
             self.repeat_checkouts = 0
@@ -563,25 +566,6 @@ class SolverPool:
                 "clauses_retained": self.clauses_retained,
                 "reuse_rate": (self.reused / attempts) if attempts else 0.0,
             }
-
-    def core_stats(self) -> Dict[str, int]:
-        """Aggregate CDCL statistics over every live solver the pool has
-        built (parked or checked out).  Monotone while solvers live, so
-        callers snapshot before/after a query to get per-query deltas."""
-        totals: Dict[str, int] = {
-            "decisions": 0,
-            "conflicts": 0,
-            "propagations": 0,
-            "restarts": 0,
-            "learned_clauses": 0,
-            "solve_calls": 0,
-        }
-        with self._lock:
-            solvers = list(self._tracked)
-        for solver in solvers:
-            for name, value in solver.core_stats().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
 
     def __repr__(self) -> str:
         s = self.stats()

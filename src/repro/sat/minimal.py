@@ -150,7 +150,6 @@ class MinimalModelSolver(_PooledSolverMixin):
         self._attach_solver(
             db, self._extra_cnf, context, engine, reuse, setup=setup
         )
-        self.sat_calls = 0
 
     # ------------------------------------------------------------------
     # Low-level: witness queries in scopes on the persistent solver
@@ -172,7 +171,6 @@ class MinimalModelSolver(_PooledSolverMixin):
             return None  # nothing below the empty model
         with self._inc.scope() as scope:
             scope.add_clause([Literal.neg(a) for a in sorted(true_atoms)])
-            self.sat_calls += 1
             if scope.solve(assumptions):
                 return scope.model(restrict_to=self.universe)
             return None
@@ -218,12 +216,10 @@ class MinimalModelSolver(_PooledSolverMixin):
                     part, engine=self.engine, reuse=self.reuse
                 ) as sub:
                     found = sub.find_minimal()
-                    self.sat_calls += sub.sat_calls
                 if found is None:
                     return None
                 union |= found
             return Interpretation(union)
-        self.sat_calls += 1
         if not self._inc.solve():
             return None
         return self.shrink(self._inc.model(restrict_to=self.universe))
@@ -249,7 +245,6 @@ class MinimalModelSolver(_PooledSolverMixin):
         with self._inc.scope() as blocker:
             while max_models is None or produced < max_models:
                 check_deadline()
-                self.sat_calls += 1
                 if not blocker.solve():
                     return
                 candidate = blocker.model(restrict_to=self.universe)
@@ -279,7 +274,6 @@ class MinimalModelSolver(_PooledSolverMixin):
                 part, engine=self.engine, reuse=self.reuse
             ) as sub:
                 models = list(sub.iter_minimal_models())
-                self.sat_calls += sub.sat_calls
             if not models:
                 return  # an inconsistent component: MM(DB) = ∅
             part_models.append(models)
@@ -316,7 +310,6 @@ class MinimalModelSolver(_PooledSolverMixin):
             tried = 0
             while max_candidates is None or tried < max_candidates:
                 check_deadline()
-                self.sat_calls += 1
                 if not searcher.solve():
                     return None
                 candidate = searcher.model(restrict_to=self.universe)
@@ -364,7 +357,6 @@ class MinimalModelSolver(_PooledSolverMixin):
                     for a in self.universe
                     if a not in current
                 ]
-                self.sat_calls += 1
                 if not step.solve(assumptions):
                     return current
                 current = step.model(restrict_to=self.universe)
@@ -394,7 +386,6 @@ class MinimalModelSolver(_PooledSolverMixin):
         """
         while True:
             check_deadline()
-            self.sat_calls += 1
             if not searcher.solve([assumption]):
                 return None
             candidate = searcher.model(restrict_to=self.universe)
@@ -471,7 +462,6 @@ class PZMinimalModelSolver(_PooledSolverMixin):
         self.q = frozenset(db.vocabulary) - self.p - self.z
         db.check_partition(self.p, self.q, self.z)
         self._attach_solver(db, None, ("db",), engine, reuse)
-        self.sat_calls = 0
 
     def witness_below(self, model: Iterable[str]) -> Optional[Interpretation]:
         """A model ``N <_{P;Z} M``, or ``None``.  Depends only on
@@ -493,7 +483,6 @@ class PZMinimalModelSolver(_PooledSolverMixin):
             return None
         with self._inc.scope() as scope:
             scope.add_clause([Literal.neg(a) for a in p_true])
-            self.sat_calls += 1
             if scope.solve(assumptions):
                 return scope.model(restrict_to=self.db.vocabulary)
             return None
@@ -527,7 +516,6 @@ class PZMinimalModelSolver(_PooledSolverMixin):
             tried = 0
             while max_candidates is None or tried < max_candidates:
                 check_deadline()
-                self.sat_calls += 1
                 if not searcher.solve():
                     return None
                 candidate = searcher.model(restrict_to=self.db.vocabulary)
@@ -569,7 +557,6 @@ class PZMinimalModelSolver(_PooledSolverMixin):
         pq = sorted(self.p | self.q)
         while True:
             check_deadline()
-            self.sat_calls += 1
             if not searcher.solve([assumption]):
                 return None
             candidate = searcher.model(restrict_to=self.db.vocabulary)
@@ -621,7 +608,6 @@ class PZMinimalModelSolver(_PooledSolverMixin):
             produced = 0
             while True:
                 check_deadline()
-                self.sat_calls += 1
                 if not searcher.solve():
                     return
                 candidate = searcher.model(restrict_to=self.db.vocabulary)
@@ -636,7 +622,6 @@ class PZMinimalModelSolver(_PooledSolverMixin):
                     with self._inc.scope() as extension:
                         while True:
                             check_deadline()
-                            self.sat_calls += 1
                             if not extension.solve(base):
                                 break
                             model = extension.model(
@@ -692,7 +677,6 @@ class PZMinimalModelSolver(_PooledSolverMixin):
                     part, p_i, z_i, engine=self.engine, reuse=self.reuse
                 ) as sub:
                     models = list(sub.iter_minimal_models())
-                    self.sat_calls += sub.sat_calls
             if not models:
                 return
             part_models.append(models)
@@ -736,7 +720,6 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
             raise SolverError("priority levels overlap with Z")
         self.q = frozenset(db.vocabulary) - flat - self.z
         self._attach_solver(db, None, ("db",), engine, reuse)
-        self.sat_calls = 0
 
     def witness_below(self, model: Iterable[str]) -> Optional[Interpretation]:
         """A model lexicographically below ``model``, or ``None``.
@@ -765,7 +748,6 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
                 continue
             with self._inc.scope() as scope:
                 scope.add_clause([Literal.neg(a) for a in level_true])
-                self.sat_calls += 1
                 if scope.solve(assumptions):
                     return scope.model(restrict_to=self.db.vocabulary)
         return None
@@ -794,7 +776,6 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
             tried = 0
             while max_candidates is None or tried < max_candidates:
                 check_deadline()
-                self.sat_calls += 1
                 if not searcher.solve():
                     return None
                 candidate = searcher.model(restrict_to=self.db.vocabulary)

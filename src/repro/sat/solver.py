@@ -12,7 +12,6 @@ A :class:`SatSolver` is incremental: clauses can be added between
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import SolverError
@@ -26,34 +25,6 @@ from ..logic.interpretation import Interpretation
 from .cdcl import CdclSolver
 from .dpll import solve_dpll
 from .types import VariableMap
-
-
-class _GlobalCounter:
-    """Process-wide NP-oracle (SAT ``solve``) call counter.
-
-    Used by :mod:`repro.complexity.oracles` to profile how many NP-oracle
-    calls a decision procedure makes, no matter how deeply the solver
-    instances are nested.  Solvers run on the serving layer's executor
-    threads, so increments go through :meth:`inc` under the counter's
-    lock — a bare ``calls += 1`` is a lost update waiting to happen
-    (and is flagged statically as RPR202).  Reads stay lock-free: the
-    profiling deltas in :mod:`repro.complexity.oracles` tolerate a torn
-    read, never a lost increment.
-    """
-
-    __slots__ = ("calls", "_lock")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def inc(self) -> None:
-        with self._lock:
-            self.calls += 1
-
-
-#: The counter instance; read/reset through repro.complexity.oracles.
-GLOBAL_SAT_CALLS = _GlobalCounter()
 
 
 class SatSolver:
@@ -158,7 +129,6 @@ class SatSolver:
         cut off between oracle calls and an injected fault costs no
         solver state.
         """
-        GLOBAL_SAT_CALLS.inc()
         observe_sat_call()
         assumed = [self.variables.int_literal(l) for l in assumptions]
         if self._known_unsat:

@@ -90,7 +90,6 @@ class CircumscriptionChecker:
         db.check_partition(self.p, self.q, self.z)
         renaming = {a: _primed(a) for a in self.p | self.z}
         self.renamed_db = rename_atoms(db, renaming)
-        self.sat_calls = 0
 
     def is_circumscribed(self, model: Interpretation) -> bool:
         """Whether ``model`` satisfies the circumscription axiom."""
@@ -116,7 +115,6 @@ class CircumscriptionChecker:
             if not p_true:
                 return True  # nothing below the empty P-part
             sat.add_clause([Literal.neg(_primed(a)) for a in p_true])
-            self.sat_calls += 1
             return not sat.solve()
 
 

@@ -50,6 +50,7 @@ import contextvars
 from ..errors import ReproError
 from ..logic.database import DisjunctiveDatabase
 from ..logic.parser import parse_database
+from ..obs.accounting import observe
 from ..obs.certify import DEFAULT_CERTIFIER, Certifier
 from ..obs.metrics import METRICS
 from ..runtime.budget import Budget, BudgetExceeded, budget_scope
@@ -539,45 +540,52 @@ class QueryService:
     def _run_one(
         self, session: DatabaseSession, item: QueryItem, width: int
     ) -> ItemResult:
+        """Evaluate one item inside one oracle-observation window: every
+        response carries the window's NP count as ``sat_calls``, so the
+        responses' counts sum to the process NP-call total."""
         start = time.perf_counter()
-        try:
-            scope = (
-                budget_scope(item.budget)
-                if item.budget is not None and not item.budget.unbounded
-                else None
-            )
-            with _maybe(scope):
-                payload = self._evaluate(session, item)
-            status, headers = 200, {}
-        except HttpError as exc:
-            response = exc.to_response()
-            status, payload, headers = (
-                exc.status, response.payload, dict(response.headers)
-            )
-        except BudgetExceeded as exc:
-            error = self._budget_error(exc)
-            response = error.to_response()
-            status, payload, headers = (
-                error.status, response.payload, dict(response.headers)
-            )
-        except (FaultInjected, WorkerCrash) as exc:
-            error = HttpError(
-                503, "transient", f"transient fault: {exc}",
-                retry_after=RETRY_AFTER_S,
-            )
-            response = error.to_response()
-            status, payload, headers = (
-                error.status, response.payload, dict(response.headers)
-            )
-        except ReproError as exc:
-            error = HttpError(400, "bad_request", str(exc))
-            status, payload, headers = 400, error.to_response().payload, {}
+        with observe() as window:
+            try:
+                scope = (
+                    budget_scope(item.budget)
+                    if item.budget is not None and not item.budget.unbounded
+                    else None
+                )
+                with _maybe(scope):
+                    payload = self._evaluate(session, item)
+                status, headers = 200, {}
+            except HttpError as exc:
+                response = exc.to_response()
+                status, payload, headers = (
+                    exc.status, response.payload, dict(response.headers)
+                )
+            except BudgetExceeded as exc:
+                error = self._budget_error(exc)
+                response = error.to_response()
+                status, payload, headers = (
+                    error.status, response.payload, dict(response.headers)
+                )
+            except (FaultInjected, WorkerCrash) as exc:
+                error = HttpError(
+                    503, "transient", f"transient fault: {exc}",
+                    retry_after=RETRY_AFTER_S,
+                )
+                response = error.to_response()
+                status, payload, headers = (
+                    error.status, response.payload, dict(response.headers)
+                )
+            except ReproError as exc:
+                error = HttpError(400, "bad_request", str(exc))
+                status, payload, headers = (
+                    400, error.to_response().payload, {}
+                )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         self._m_latency.labels(tenant=item.tenant).observe(elapsed_ms)
         payload.setdefault("tenant", item.tenant)
         payload.setdefault("db", item.db_id)
         payload.setdefault("task", item.task)
         payload.setdefault("semantics", item.semantics)
+        payload["sat_calls"] = window.np_calls
         payload["batch_width"] = width
         payload["elapsed_ms"] = round(elapsed_ms, 3)
         return ItemResult(status, payload, headers)
@@ -622,10 +630,7 @@ class QueryService:
             answer = session.ask(
                 item.query, semantics=item.semantics, mode=item.mode
             )
-        payload: Dict[str, Any] = {
-            "verdict": bool(answer.verdict),
-            "sat_calls": answer.sat_calls,
-        }
+        payload: Dict[str, Any] = {"verdict": bool(answer.verdict)}
         if answer.observation is not None:
             payload["np_calls"] = answer.observation.np_calls
             payload["sigma2_dispatches"] = (

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Union
 
-from .complexity.oracles import count_sat_calls
 from .errors import ReproError
 from .obs import trace as _trace
 from .obs.accounting import (
@@ -32,7 +31,8 @@ from .obs.certify import (
     ComplexityCertificate,
     TASK_FOR_METHOD,
 )
-from .sat.incremental import SOLVER_POOL, solver_pool_stats
+from .sat.incremental import solver_pool_stats
+from .sat.types import SolverStats
 from .logic.atoms import Literal
 from .logic.database import DisjunctiveDatabase
 from .logic.formula import Formula
@@ -60,8 +60,9 @@ class Answer:
         solver_stats: per-query *delta* of the pooled CDCL search
             statistics (decisions, conflicts, propagations, ...).  Pooled
             solvers outlive queries, so their raw counters are lifetime
-            totals; the session snapshots them around each query and
-            reports only what this query spent.
+            totals; the solver pool charges each checkout's difference
+            to the query's observation window, so this is only what
+            this query spent.
         observation: the oracle work this query was observed doing
             (NP calls, Σ₂ᵖ dispatches, nodes, dispatch depth).
         complexity: the Table 1/Table 2 complexity certificate for this
@@ -161,22 +162,17 @@ class DatabaseSession:
         self.solver_stat_totals: Dict[str, int] = {}
         self.plan_procedure_counts: Dict[str, int] = {}
 
-    @staticmethod
-    def _solver_delta(
-        before: Dict[str, int], after: Dict[str, int]
-    ) -> Dict[str, int]:
-        """Per-query pooled-solver spend: ``after - before``, clamped at
-        zero (a solver GC'd mid-query can make a raw counter regress)."""
-        return {
-            name: max(0, value - before.get(name, 0))
-            for name, value in after.items()
-        }
-
-    def _note_solver_delta(self, delta: Dict[str, int]) -> None:
-        for name, value in delta.items():
+    def _note_query(self, window: OracleObservation) -> Dict[str, int]:
+        """Add one query's window to the session totals; returns its
+        CDCL statistics with every counter present."""
+        solver_stats = SolverStats(**window.solver_stats).snapshot()
+        for name, value in solver_stats.items():
             self.solver_stat_totals[name] = (
                 self.solver_stat_totals.get(name, 0) + value
             )
+        self.total_sat_calls += window.np_calls
+        self.queries_answered += 1
+        return solver_stats
 
     def _note_plan(
         self, span, plan, window: OracleObservation
@@ -262,7 +258,6 @@ class DatabaseSession:
         """
         engine = self._semantics(semantics)
         formula = self._parse(query)
-        solver_before = SOLVER_POOL.core_stats()
         with _trace.active_tracer().span(
             "query.ask",
             semantics=engine.name,
@@ -270,7 +265,7 @@ class DatabaseSession:
             mode=mode,
             query=str(formula),
         ) as span:
-            with observe() as window, count_sat_calls() as counter:
+            with observe() as window:
                 if mode == "cautious":
                     verdict = engine.infers(self.db, formula)
                 elif mode == "brave":
@@ -283,11 +278,8 @@ class DatabaseSession:
                 if mode == "cautious"
                 else None
             )
-            span.set_attributes(verdict=verdict, sat_calls=counter.calls)
+            span.set_attributes(verdict=verdict, sat_calls=window.np_calls)
             self._note_plan(span, plan, window)
-        solver_delta = self._solver_delta(
-            solver_before, SOLVER_POOL.core_stats()
-        )
         certificate = None
         if (
             mode == "cautious"
@@ -304,16 +296,13 @@ class DatabaseSession:
                 )
             except Exception:
                 certificate = None  # engines without a certificate path
-        self.total_sat_calls += counter.calls
-        self.queries_answered += 1
-        self._note_solver_delta(solver_delta)
         return Answer(
             verdict=verdict,
             semantics=engine.name,
             query=formula,
-            sat_calls=counter.calls,
+            sat_calls=window.np_calls,
             certificate=certificate,
-            solver_stats=solver_delta,
+            solver_stats=self._note_query(window),
             observation=window,
             complexity=complexity,
             plan=plan,
@@ -328,35 +317,28 @@ class DatabaseSession:
         engine = self._semantics(semantics)
         if isinstance(literal, str):
             literal = Literal.parse(literal)
-        solver_before = SOLVER_POOL.core_stats()
         with _trace.active_tracer().span(
             "query.ask_literal",
             semantics=engine.name,
             engine=self.engine,
             literal=str(literal),
         ) as span:
-            with observe() as window, count_sat_calls() as counter:
+            with observe() as window:
                 verdict = engine.infers_literal(self.db, literal)
             plan = getattr(engine, "last_plan", None)
             complexity = self._certify(
                 engine, "infers_literal", window, span, plan=plan
             )
-            span.set_attributes(verdict=verdict, sat_calls=counter.calls)
+            span.set_attributes(verdict=verdict, sat_calls=window.np_calls)
             self._note_plan(span, plan, window)
-        solver_delta = self._solver_delta(
-            solver_before, SOLVER_POOL.core_stats()
-        )
-        self.total_sat_calls += counter.calls
-        self.queries_answered += 1
-        self._note_solver_delta(solver_delta)
         from .semantics.base import literal_formula
 
         return Answer(
             verdict=verdict,
             semantics=engine.name,
             query=literal_formula(literal),
-            sat_calls=counter.calls,
-            solver_stats=solver_delta,
+            sat_calls=window.np_calls,
+            solver_stats=self._note_query(window),
             observation=window,
             complexity=complexity,
             plan=plan,
@@ -391,6 +373,7 @@ class DatabaseSession:
             engine=self.engine,
             budget=self.budget,
             certificates=self.certificates,
+            certifier=self.certifier,
         )
 
     def stats(self) -> Dict[str, int]:

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..complexity.classes import Regime, Task
 from ..complexity.machines import theta_inference
-from ..complexity.oracles import count_sat_calls
 from ..complexity.reductions import (
     cnf_to_database,
     qbf_to_dsm_existence,
@@ -42,6 +41,7 @@ from ..complexity.verify import ReductionReport, check_reduction
 from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
 from ..models.enumeration import minimal_models_brute
+from ..obs.accounting import observe
 from ..qbf.solver import solve_qbf2_brute
 from ..sat.solver import SatSolver, is_satisfiable
 from ..semantics import get_semantics
@@ -175,20 +175,20 @@ def _run_cell_agreement(
             continue  # regime mismatch for this random draw
         used += 1
         if task is Task.EXISTS_MODEL:
-            with count_sat_calls() as counter:
+            with observe() as window:
                 fast = oracle_semantics.has_model(db)
             slow = brute_semantics.has_model(db)
         elif task is Task.LITERAL:
             literal = _query_for(db, task, seed)
-            with count_sat_calls() as counter:
+            with observe() as window:
                 fast = oracle_semantics.infers_literal(db, literal)
             slow = brute_semantics.infers_literal(db, literal)
         else:
             formula = _query_for(db, task, seed)
-            with count_sat_calls() as counter:
+            with observe() as window:
                 fast = oracle_semantics.infers(db, formula)
             slow = brute_semantics.infers(db, formula)
-        max_calls = max(max_calls, counter.calls)
+        max_calls = max(max_calls, window.np_calls)
         if fast != slow:
             agree = False
     return agree, max_calls, used
@@ -208,14 +208,14 @@ def _theta_evidence(
         _instances_for(row, regime, count, atoms, clauses)
     ):
         formula = random_query_formula(sorted(db.vocabulary), depth=2, seed=seed)
-        with count_sat_calls() as counter:
+        with observe() as window:
             result = theta_inference(db, formula)
         expected = brute.infers(db, formula)
         if result.inferred != expected:
             agree = False
         max_sigma2 = max(max_sigma2, result.sigma2_calls)
         bound = max(bound, result.call_bound)
-        max_sat = max(max_sat, counter.calls)
+        max_sat = max(max_sat, window.np_calls)
     return agree, max_sigma2, bound, max_sat
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from ..complexity.machines import linear_inference, theta_inference
-from ..complexity.oracles import count_sat_calls
 from ..logic.parser import parse_formula
+from ..obs.accounting import observe
 from ..semantics import get_semantics
 from ..workloads import exclusive_pairs
 
@@ -54,11 +54,11 @@ class ScalingRow:
 
 
 def _timed(callable_: Callable[[], object]) -> "tuple[float, int]":
-    with count_sat_calls() as counter:
+    with observe() as window:
         start = time.perf_counter()
         callable_()
         elapsed = (time.perf_counter() - start) * 1000.0
-    return elapsed, counter.calls
+    return elapsed, window.np_calls
 
 
 def measure_size(size: int) -> ScalingRow:

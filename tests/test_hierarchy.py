@@ -95,15 +95,15 @@ class TestMeasuredProfilesMatchClaims:
 
     def test_ddr_literal_profile(self):
         from repro.complexity.classes import TABLE1, Task
-        from repro.complexity.oracles import count_sat_calls
+        from repro.obs.accounting import observe
         from repro.semantics import get_semantics
         from repro.workloads import random_positive_db
 
         db = random_positive_db(6, 7, seed=1)
-        with count_sat_calls() as counter:
+        with observe() as window:
             get_semantics("ddr").infers_literal(db, "not v1")
         sig = OracleSignature(size=len(db.vocabulary),
-                              sat_calls=counter.calls)
+                              sat_calls=window.np_calls)
         claim = TABLE1[("ddr", Task.LITERAL)]
         assert signature_consistent_with(sig, claim.upper)
 

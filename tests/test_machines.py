@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.complexity.machines import linear_inference, theta_inference
-from repro.complexity.oracles import (
-    OracleProfile,
-    Sigma2Oracle,
-    count_sat_calls,
-    profile,
-)
+from repro.complexity.oracles import OracleProfile, Sigma2Oracle, profile
 from repro.logic.formula import Not, Var
 from repro.logic.parser import parse_database, parse_formula
+from repro.obs.accounting import observe
 from repro.semantics import get_semantics
 
 from conftest import databases, positive_databases
@@ -21,24 +17,24 @@ from conftest import databases, positive_databases
 
 class TestCountSatCalls:
     def test_counts_nested_calls(self, simple_db):
-        with count_sat_calls() as counter:
+        with observe() as window:
             get_semantics("egcwa").infers(simple_db, parse_formula("a"))
-        assert counter.calls >= 1
+        assert window.np_calls >= 1
 
     def test_zero_for_pure_python(self):
-        with count_sat_calls() as counter:
+        with observe() as window:
             sum(range(10))
-        assert counter.calls == 0
+        assert window.np_calls == 0
 
     def test_nesting_is_additive(self, simple_db):
-        with count_sat_calls() as outer:
-            with count_sat_calls() as inner:
+        with observe() as outer:
+            with observe() as inner:
                 get_semantics("egcwa").has_model(
                     parse_database("a. :- a.")
                 )
-            baseline = inner.calls
+            baseline = inner.np_calls
             get_semantics("egcwa").has_model(parse_database("a. :- a."))
-        assert outer.calls == 2 * baseline
+        assert outer.np_calls == 2 * baseline
 
 
 class TestSigma2Oracle:

@@ -6,10 +6,12 @@ Four angles, mirroring the serve design:
   mapping, the ``/metrics`` and ``/trace`` endpoints, the background
   daemon + sync client pair the CI smoke drives;
 * **differential under concurrency** — N async clients hammer the
-  daemon across the four seeded regimes; every served answer must equal
-  the single-threaded ``cached`` oracle, and the service / cache / pool
-  counters must be internally consistent afterwards (admitted ==
-  completed, hits + misses == lookups, no lost checkouts);
+  daemon across the four seeded regimes under a strict certifier; every
+  served answer must equal the single-threaded ``cached`` oracle, the
+  service / cache / pool counters must be internally consistent
+  afterwards (admitted == completed, hits + misses == lookups, no lost
+  checkouts), and the per-response ``sat_calls`` must sum to the
+  process NP-call total (conservation);
 * **QoS + fault injection** — per-request budget headers map to
   structured 429/503 responses, seeded
   :class:`~repro.runtime.faults.FaultPlan`\\ s produce 503s without
@@ -21,7 +23,7 @@ Four angles, mirroring the serve design:
   byte-identical database texts.
 
 The 64-client soak (>= 500 queries, zero divergences, zero certifier
-violations) runs in the slow lane.
+violations, exact NP-call conservation) runs in the slow lane.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import uuid
 import pytest
 
 from repro.logic.parser import parse_database
+from repro.obs.accounting import totals
+from repro.obs.certify import Certifier
 from repro.obs.metrics import METRICS
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultPlan
@@ -734,8 +738,10 @@ def test_batch_key_discipline_across_tenants_and_semantics():
 # ----------------------------------------------------------------------
 
 def _run_differential(clients: int, seeds_per_regime: int):
-    """N concurrent clients sweep the regimes; every answer must match
-    the single-threaded cached oracle and the counters must reconcile."""
+    """N concurrent clients sweep the regimes under a strict certifier;
+    every answer must match the single-threaded cached oracle, the
+    counters must reconcile, and the responses' NP calls must add up to
+    the process total exactly."""
     cases = []  # (tenant, text, vocab, db_id, semantics, task, query, want)
     for regime in REGIMES:
         for seed in range(seeds_per_regime):
@@ -753,6 +759,7 @@ def _run_differential(clients: int, seeds_per_regime: int):
                     ))
 
     divergences = []
+    sat_calls = []
 
     async def worker(server_port, worker_index, assigned):
         client = AsyncServeClient(
@@ -778,6 +785,12 @@ def _run_differential(clients: int, seeds_per_regime: int):
                         (tenant, semantics, task, query, response.payload)
                     )
                     continue
+                payload = response.payload
+                sat_calls.append(payload["sat_calls"])
+                if "np_calls" in payload:
+                    # The certified count leaves the counter-model
+                    # search out; the response's window includes it.
+                    assert payload["np_calls"] <= payload["sat_calls"]
                 got = (
                     response.payload["models"]
                     if task == "model_set"
@@ -791,7 +804,10 @@ def _run_differential(clients: int, seeds_per_regime: int):
             await client.close()
 
     async def main():
-        service = QueryService(engine="cached", workers=4, max_queue=512)
+        service = QueryService(
+            engine="cached", workers=4, max_queue=512,
+            certifier=Certifier(strict=True),
+        )
         async with ReproServer(service) as server:
             tasks = [
                 worker(server.port, index, cases[index::clients])
@@ -800,8 +816,13 @@ def _run_differential(clients: int, seeds_per_regime: int):
             await asyncio.gather(*tasks)
         return service
 
+    np_before = totals().np_calls
     service = asyncio.run(main())
+    np_spent = totals().np_calls - np_before
     assert divergences == [], divergences[:5]
+    # Conservation: each NP call is charged to exactly one response.
+    assert len(sat_calls) == len(cases)
+    assert sum(sat_calls) == np_spent
 
     # Post-run counter consistency: nothing lost, nothing double-counted.
     stats = service.stats()

@@ -82,6 +82,18 @@ class TestSession:
         assert extended.ask_literal("a")          # b now impossible
         assert not session.ask_literal("a")       # original untouched
 
+    def test_extended_session_keeps_certifier(self, simple_db):
+        from repro.logic.clause import Clause
+        from repro.obs.certify import Certifier
+
+        strict = Certifier(strict=True)
+        session = DatabaseSession(simple_db, certifier=strict)
+        extended = session.extended([Clause.integrity(["b"])])
+        assert extended.certifier is strict
+        assert DatabaseSession(simple_db, certifier=None).extended(
+            [Clause.integrity(["b"])]
+        ).certifier is None
+
     def test_alias_resolution(self, simple_db):
         session = DatabaseSession(simple_db, default_semantics="stable")
         assert session.default_semantics == "dsm"

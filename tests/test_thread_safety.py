@@ -10,6 +10,12 @@ tracer.  Each test here drives a *fresh* instance of the class behind
 the singleton from many threads with hypothesis-chosen schedules and
 asserts exact counter arithmetic — lost updates show up as off-by-N.
 
+Three tests drive the oracle accounting (:mod:`repro.obs.accounting`)
+itself: concurrent sessions must each report exactly their own
+single-threaded observations and CDCL statistics, a window shared by
+contexts copied into other threads must lose no tick, and concurrent
+Σ₂ᵖ dispatches must never lower the process-wide max-depth gauge.
+
 One test is a pure source scan: the audit found that
 ``RUNTIME_STATS.<counter> += 1`` expands to a locked read followed by a
 locked write (two critical sections, not one), which loses updates under
@@ -20,17 +26,22 @@ pattern from creeping back.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.cache import EngineCache
-from repro.obs.metrics import MetricsRegistry
+from repro.engine.cache import EngineCache, clear_cache
+from repro.logic.transform import rename_atoms
+from repro.obs import accounting
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.runtime.budget import RUNTIME_STATS
-from repro.sat.incremental import SolverPool
+from repro.sat.incremental import SolverPool, clear_solver_pool
+from repro.session import DatabaseSession
+from repro.workloads import random_deductive_db
 
 
 def run_threads(count, target):
@@ -311,3 +322,120 @@ def test_tracer_spans_from_many_threads():
     for line in tracer.export_jsonl().splitlines():
         record = json.loads(line)
         assert len(record["children"]) == 1
+
+
+# ----------------------------------------------------------------------
+# Oracle accounting
+# ----------------------------------------------------------------------
+
+#: (session method, query over atoms v1..v8, semantics) — a fixed
+#: sequence mixing coNP and Pi2p cells, literal and formula inference.
+_ACCOUNTING_QUERIES = (
+    ("ask", "{v1} | {v2}", "egcwa"),
+    ("ask", "~{v3} | ~{v4}", "gcwa"),
+    ("ask_literal", "~{v5}", "egcwa"),
+    ("ask", "{v6} | ~{v7}", "dsm"),
+    ("ask", "~{v1} | ~{v8}", "ecwa"),
+    ("ask_literal", "~{v2}", "gcwa"),
+    ("ask", "{v3} | {v4} | {v5}", "egcwa"),
+)
+
+
+def _accounting_sequence(index):
+    """Run the fixed sequence on thread ``index``'s own database (the
+    same structure under thread-specific atom names, so threads share no
+    cache entry and no pooled solver); returns each answer's accounting."""
+    rename = {f"v{i}": f"v{i}_t{index}" for i in range(1, 9)}
+    db = rename_atoms(
+        random_deductive_db(8, 10, ic_fraction=0.2, seed=7), rename
+    )
+    session = DatabaseSession(db, engine="oracle", certificates=False)
+    results = []
+    for method, query, semantics in _ACCOUNTING_QUERIES:
+        answer = getattr(session, method)(query.format(**rename), semantics)
+        results.append((answer.observation, answer.solver_stats))
+    return results
+
+
+def test_query_accounting_exact_under_threads():
+    """Every per-query figure counts the query's own work only: T
+    sessions started together on a barrier report exactly the
+    observations and CDCL statistics their sequences report alone."""
+    threads = 4
+    alone = []
+    for index in range(threads):
+        clear_cache()
+        clear_solver_pool()
+        alone.append(_accounting_sequence(index))
+    assert any(obs.np_calls for obs, _ in alone[0])
+    assert any(stats["solve_calls"] for _, stats in alone[0])
+    clear_cache()
+    clear_solver_pool()
+    barrier = threading.Barrier(threads)
+    together = [None] * threads
+
+    def worker(index):
+        barrier.wait()
+        together[index] = _accounting_sequence(index)
+
+    run_threads(threads, worker)
+    assert together == alone
+
+
+def test_window_shared_by_copied_contexts_loses_no_tick():
+    """Contexts copied inside a window and run on other threads share
+    the window; every thread's ticks land in it exactly once."""
+    per_thread = 2000
+
+    def tick():
+        for _ in range(per_thread):
+            accounting.note_np_call()
+            accounting.note_nodes(2)
+
+    with accounting.observe() as window:
+        contexts = [contextvars.copy_context() for _ in range(8)]
+        run_threads(8, lambda index: contexts[index].run(tick))
+    assert window.np_calls == 8 * per_thread
+    assert window.nodes == 8 * 2 * per_thread
+
+
+def test_max_depth_gauge_never_lowered_by_concurrent_dispatch(monkeypatch):
+    """A depth-1 dispatch racing a depth-2 dispatch must not overwrite
+    the process-wide max-depth gauge with 1: that would hide a nested
+    dispatch (a Pi2p envelope violation) from ``/metrics``."""
+    progress, nested_done = threading.Event(), threading.Event()
+    stalled = threading.local()
+
+    class StallingGauge(Gauge):
+        """Reads from the stalled thread pause until the nested dispatch
+        is done: that thread is preempted between reading the high-water
+        mark and writing it back."""
+
+        __slots__ = ()
+
+        @property
+        def value(self):
+            current = Gauge.value.fget(self)
+            if getattr(stalled, "on", False):
+                progress.set()
+                nested_done.wait(timeout=5)
+            return current
+
+    gauge = StallingGauge("test_max_sigma2_depth")
+    monkeypatch.setattr(accounting, "MAX_DISPATCH_DEPTH", gauge)
+
+    def worker(index):
+        if index == 0:
+            stalled.on = True
+            with accounting.sigma2_dispatch():
+                pass
+            progress.set()
+        else:
+            progress.wait(timeout=5)
+            with accounting.sigma2_dispatch():
+                with accounting.sigma2_dispatch():
+                    pass
+            nested_done.set()
+
+    run_threads(2, worker)
+    assert gauge.value == 2
