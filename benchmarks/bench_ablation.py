@@ -18,12 +18,14 @@ Run with::
 import pytest
 
 from repro.complexity.machines import linear_inference, theta_inference
-from repro.logic.cnf import formula_to_cnf_naive, tseitin
+from repro.logic.cnf import database_to_cnf, formula_to_cnf_naive, tseitin
 from repro.logic.formula import And, Or, Var
 from repro.logic.parser import parse_formula
 from repro.qbf.solver import solve_qbf2_brute, solve_qbf2_cegar
 from repro.sat.minimal import MinimalModelSolver
+from repro.sat.dpll import solve_dpll
 from repro.sat.solver import SatSolver
+from repro.sat.types import VariableMap
 from repro.workloads import (
     exclusive_pairs,
     pigeonhole_cnf_db,
@@ -38,12 +40,21 @@ from repro.workloads import (
 @pytest.mark.parametrize("engine", ["cdcl", "dpll"])
 def test_sat_engine_on_pigeonhole(benchmark, engine):
     db = pigeonhole_cnf_db(5)
+    variables = VariableMap()
+    clauses = [
+        [variables.int_literal(literal) for literal in clause]
+        for clause in database_to_cnf(db)
+    ]
 
-    def solve():
-        solver = SatSolver(engine=engine)
+    def solve_cdcl():
+        solver = SatSolver()
         solver.add_database(db)
         return solver.solve()
 
+    def solve_reference():
+        return solve_dpll(clauses) is not None
+
+    solve = solve_cdcl if engine == "cdcl" else solve_reference
     assert solve() is False
     benchmark(solve)
 

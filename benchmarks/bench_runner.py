@@ -2,10 +2,11 @@
 
 Measures, per workload, the effect of the two PR-level optimisations:
 
-* **solver-pool reuse** — repeated-query suites run once with the pooled
-  incremental backend (``engine="oracle"``) and once with per-query fresh
-  solvers (``engine="fresh"``), asserting identical answers and
-  reporting wall-clock ms, SAT calls and the pool's reuse rate;
+* **solver-pool reuse** — repeated-query suites run the oracle engine
+  once on the pooled incremental backend and once on a pool of
+  ``maxsize`` 0 (``configure_solver_pool(0)``: a cold solver per oracle
+  call, recorded under the ``fresh`` key), asserting identical answers
+  and reporting wall-clock ms, SAT calls and the pool's reuse rate;
 * **connected-component decomposition** — multi-component databases are
   enumerated with ``decompose=True`` and ``decompose=False``, asserting
   identical minimal-model sets and reporting budget node counts (the
@@ -68,7 +69,9 @@ from repro.obs.accounting import OracleObservation, observe  # noqa: E402
 from repro.runtime.budget import Budget, budget_scope  # noqa: E402
 from repro.sat.decompose import connected_components  # noqa: E402
 from repro.sat.incremental import (  # noqa: E402
+    DEFAULT_POOL_MAXSIZE,
     clear_solver_pool,
+    configure_solver_pool,
     solver_pool_stats,
 )
 from repro.sat.minimal import MinimalModelSolver  # noqa: E402
@@ -85,12 +88,12 @@ from repro.workloads.families import (  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# Repeated-query suites: pooled vs fresh
+# Repeated-query suites: pooled vs cold (pool maxsize 0)
 # ----------------------------------------------------------------------
-def _suite_gcwa_closure(db, repeat: int, engine: str) -> List:
+def _suite_gcwa_closure(db, repeat: int) -> List:
     """GCWA literal inference over the whole vocabulary, repeated — each
     round re-derives ``ff(DB)`` with one Σ₂ᵖ query per atom."""
-    semantics = get_semantics("gcwa", engine=engine)
+    semantics = get_semantics("gcwa")
     answers = []
     for _ in range(repeat):
         for atom in sorted(db.vocabulary):
@@ -98,9 +101,9 @@ def _suite_gcwa_closure(db, repeat: int, engine: str) -> List:
     return answers
 
 
-def _suite_egcwa_queries(db, repeat: int, engine: str) -> List:
+def _suite_egcwa_queries(db, repeat: int) -> List:
     """Cautious + brave minimal-model entailment, repeated."""
-    semantics = get_semantics("egcwa", engine=engine)
+    semantics = get_semantics("egcwa")
     queries = [
         parse_formula(q)
         for q in ("x1 | y1", "x1 & y1", "~x1 | ~y1", "x2 | y3")
@@ -113,15 +116,14 @@ def _suite_egcwa_queries(db, repeat: int, engine: str) -> List:
     return answers
 
 
-def _suite_minimal_witness(db, repeat: int, engine: str) -> List:
+def _suite_minimal_witness(db, repeat: int) -> List:
     """Raw Σ₂ᵖ-primitive calls against one hard (UNSAT-core-heavy)
     database: the pooled solver refutes once and replays learned clauses,
-    the fresh one re-derives the refutation every query."""
-    reuse = engine != "fresh"
+    a cold one re-derives the refutation every query."""
     answers = []
     for _ in range(repeat):
         for atom in sorted(db.vocabulary)[:4]:
-            with MinimalModelSolver(db, reuse=reuse) as solver:
+            with MinimalModelSolver(db) as solver:
                 answers.append(
                     solver.find_minimal_satisfying(Var(atom)) is not None
                 )
@@ -159,20 +161,25 @@ def run_repeated_suite(name, make_db, runner, repeat, attempts=3) -> Dict:
     db = make_db()
     record: Dict = {"workload": name, "repeat": repeat}
     answers: Dict[str, List] = {}
-    for engine in ("oracle", "fresh"):
+    for key, maxsize in (("pooled", DEFAULT_POOL_MAXSIZE), ("fresh", 0)):
         # Best-of-N wall clock: every attempt cold-starts (pool and cache
-        # cleared), so the minimum measures the engine, not the scheduler.
+        # cleared), so the minimum measures the pool, not the scheduler.
+        configure_solver_pool(maxsize)
         wall_ms = None
-        for _ in range(attempts):
-            clear_solver_pool()
-            ENGINE_CACHE.clear()
-            start = time.perf_counter()
-            with observe() as window:
-                answers[engine] = runner(db, repeat, engine)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            wall_ms = elapsed if wall_ms is None else min(wall_ms, elapsed)
-        pool = solver_pool_stats()
-        key = "pooled" if engine == "oracle" else "fresh"
+        try:
+            for _ in range(attempts):
+                clear_solver_pool()
+                ENGINE_CACHE.clear()
+                start = time.perf_counter()
+                with observe() as window:
+                    answers[key] = runner(db, repeat)
+                elapsed = (time.perf_counter() - start) * 1000.0
+                wall_ms = (
+                    elapsed if wall_ms is None else min(wall_ms, elapsed)
+                )
+            pool = solver_pool_stats()
+        finally:
+            configure_solver_pool(DEFAULT_POOL_MAXSIZE)
         record[key] = {
             "wall_ms": round(wall_ms, 3),
             "sat_calls": window.np_calls,
@@ -180,9 +187,9 @@ def run_repeated_suite(name, make_db, runner, repeat, attempts=3) -> Dict:
             "solver_reuses": pool["solver_reuses"],
             "reuse_rate": round(pool["reuse_rate"], 4),
         }
-    if answers["oracle"] != answers["fresh"]:
+    if answers["pooled"] != answers["fresh"]:
         raise AssertionError(
-            f"{name}: pooled and fresh engines disagree on answers"
+            f"{name}: pooled and cold-pool runs disagree on answers"
         )
     record["answers_equal"] = True
     fresh_ms = record["fresh"]["wall_ms"]
@@ -675,7 +682,7 @@ def run_overhead_check(smoke: bool, attempts: int = 11) -> Dict:
         gc.disable()
         try:
             start = time.process_time()
-            _suite_gcwa_closure(db, repeat, "oracle")
+            _suite_gcwa_closure(db, repeat)
             return (time.process_time() - start) * 1000.0
         finally:
             if was_enabled:

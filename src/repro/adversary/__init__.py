@@ -7,7 +7,7 @@ pipeline):
   mutations and fragment-boundary nudges, each with a documented
   preservation contract;
 * :mod:`repro.adversary.hunter` — the seeded, budgeted search loop
-  driving mutants through the six-engine differential stack;
+  driving mutants through the four-engine differential stack;
 * :mod:`repro.adversary.minimize` / :mod:`.report` / :mod:`.corpus` —
   delta-debugged witnesses, markdown diagnosis reports, and the
   checked-in regression corpus the differential suite replays.

@@ -3,7 +3,7 @@
 Divergence witnesses that survive delta-debugging are *folded* into a
 canonical JSON corpus file that ``tests/test_differential.py`` picks up
 automatically: every future run of the differential suite replays each
-witness across the full six-engine stack, so a bug class found once by
+witness across the full four-engine stack, so a bug class found once by
 the hunter stays found forever.
 
 Canonical form (the idempotence contract):

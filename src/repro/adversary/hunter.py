@@ -6,10 +6,10 @@ function of ``(seed, case_index)``:
 1. draw a base database from one of the random workload regimes;
 2. draw an applicable mutator from the catalogue
    (:mod:`repro.adversary.mutators`) and apply it;
-3. run the mutant through the six-engine differential stack
-   (brute / oracle / fresh / cached / planned) on a seeded query, both
-   literal polarities and model existence — the brute enumerator is
-   ground truth;
+3. run the mutant through the four-engine differential stack
+   (brute / oracle / cached / planned) on a seeded query, both literal
+   polarities and model existence — the brute enumerator is ground
+   truth;
 4. for metamorphic mutants, additionally compare the mutant's answers
    against the *original* database under every semantics the mutator's
    preservation contract covers;
@@ -428,7 +428,7 @@ def find_engine_disagreement(
     query: Formula,
     literal_atom: str,
 ) -> Optional[Tuple[str, Any]]:
-    """First six-engine disagreement, as ``(method, argument)``.
+    """First four-engine disagreement, as ``(method, argument)``.
 
     The brute enumerator is ground truth; any engine answering
     differently (or raising where brute does not) is a disagreement.
@@ -642,7 +642,7 @@ def run_case(config: HuntConfig, index: int, report: HuntReport) -> None:
             )
             return
 
-    # 2. Five-engine differential agreement on the mutant.
+    # 2. Four-engine differential agreement on the mutant.
     disagreement = find_engine_disagreement(
         mutant, name, case.query, case.literal_atom
     )

@@ -26,9 +26,9 @@ def injected_planner_bug() -> Iterator[None]:
     not a fact — dropping a fact would be caught by trivial cases too
     easily; dropping a derived atom specifically breaks the fixpoint
     propagation the planner's Horn dispatch relies on).  Only the
-    ``planned`` engine consults this symbol, so brute/oracle/fresh/
-    cached stay correct and the six-engine differential stack must
-    flag the disagreement.
+    ``planned`` engine consults this symbol, so brute/oracle/cached
+    stay correct and the four-engine differential stack must flag the
+    disagreement.
     """
     original = _planner.horn_least_model
 

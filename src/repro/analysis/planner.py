@@ -578,7 +578,7 @@ class PlannedSemantics(Semantics):
         return self._kernel_engine().infers_literal(db, literal)
 
     def _hcf_solver(self, db: DisjunctiveDatabase) -> HeadCycleFreeSolver:
-        return HeadCycleFreeSolver(db, reuse=self.inner.sat_reuse)
+        return HeadCycleFreeSolver(db)
 
     def _hcf_entails(
         self, db: DisjunctiveDatabase, formula: Formula
@@ -619,11 +619,9 @@ class PlannedSemantics(Semantics):
         memoized founded ``ff(DB)`` closure."""
         from ..semantics.gcwa import augmented_database
 
-        free = hcf_free_atoms(db, reuse=self.inner.sat_reuse)
+        free = hcf_free_atoms(db)
         augmented = augmented_database(db, free)
-        with pooled_scope(
-            augmented, context=("db",), reuse=self.inner.sat_reuse
-        ) as sat:
+        with pooled_scope(augmented, context=("db",)) as sat:
             sat.add_formula(formula, positive=False)
             return not sat.solve()
 

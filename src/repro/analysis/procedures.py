@@ -195,9 +195,7 @@ def supported_model_tight(
     return stratified_perfect_model(db)
 
 
-def hcf_free_atoms(
-    db: DisjunctiveDatabase, reuse: bool = True
-) -> FrozenSet[str]:
+def hcf_free_atoms(db: DisjunctiveDatabase) -> FrozenSet[str]:
     """``ff(DB)`` by founded witness queries, memoized per database.
 
     The closure is a property of the database alone, so one computation
@@ -207,7 +205,7 @@ def hcf_free_atoms(
     from ..engine.cache import ENGINE_CACHE
 
     def compute() -> FrozenSet[str]:
-        with HeadCycleFreeSolver(db, reuse=reuse) as solver:
+        with HeadCycleFreeSolver(db) as solver:
             return solver.np_free_for_negation()
 
     return ENGINE_CACHE.get_or_compute(_HCF_FF_KIND, db, compute)

@@ -583,12 +583,12 @@ def build_parser() -> argparse.ArgumentParser:
             choices=ENGINES,
             default="oracle",
             help=(
-                "decision engine ('fresh' disables solver-pool reuse; "
+                "decision engine ('oracle' runs the SAT-oracle procedures; "
+                "'brute' enumerates models; "
                 "'cached' memoizes oracle results; "
                 "'resilient' adds retry/fallback degradation; "
                 "'planned' dispatches Horn/head-cycle-free fragments "
-                "to cheaper sound procedures; 'kernel' runs the brute "
-                "enumerator on the opposite bitset/pure representation)"
+                "to cheaper sound procedures)"
             ),
         )
         sub.add_argument(
@@ -995,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hunt",
         help=(
             "adversarial divergence hunt: mutate random databases and "
-            "cross-check the six-engine differential stack"
+            "cross-check the four-engine differential stack"
         ),
     )
     hunt_cmd.add_argument(

@@ -167,7 +167,7 @@ def _solve_union_query(
     ``(P;Z)``-minimality (an NP call); failures refine the abstraction by
     blocking the cone above the discovered smaller model.
     """
-    from ..sat.incremental import pooled_scope
+    from ..sat.incremental import IncrementalSatSolver
     from ..sat.minimal import PZMinimalModelSolver
 
     oracle.queries += 1
@@ -175,11 +175,11 @@ def _solve_union_query(
     # One Σ₂ᵖ dispatch: the inner CEGAR loop only consults the NP oracle
     # (``witness_below`` is a single SAT call), so the dispatch depth
     # stays at one no matter how many refinement rounds run.  The union
-    # database is freshly renamed per query, so the scope is a throwaway
-    # (``reuse=False``): never pooled, but still budget-aware.
+    # database is freshly renamed per query, so its solver is built here
+    # and never pooled (``solve`` still ticks budgets and faults).
     with _sigma2_dispatch(), observe() as window:
         union, renamings = _copied_database(db, k)
-        with pooled_scope(union, reuse=False) as searcher:
+        with IncrementalSatSolver(union).scope() as searcher:
             searcher.add_formula(
                 _distinct_witness_condition(sorted(p), k)
             )

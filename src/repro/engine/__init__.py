@@ -46,63 +46,8 @@ from .parallel import (
 from .resilient import ResilientSemantics, RetryPolicy
 
 #: Engine order of the differential stack.  The brute enumerator comes
-#: first — it is the ground truth the others are judged against.  The
-#: trailing ``kernel`` leg is the brute enumerator re-run on the
-#: *opposite* interpretation representation (bitset masks vs. pure
-#: frozensets), so every corpus answer also cross-checks the two kernel
-#: code paths against each other.
-DIFFERENTIAL_ENGINES = (
-    "brute", "oracle", "fresh", "cached", "planned", "kernel"
-)
-
-
-class KernelLegSemantics:
-    """Brute semantics evaluated on the opposite kernel representation.
-
-    The ``engine="kernel"`` wrapper: wraps an ``engine="brute"``
-    semantics instance and runs each entry point under
-    :func:`repro.kernel.force_kernel` with the mode *opposite* to the
-    ambient one (checked per call): with bitset internals active (the
-    default) this leg exercises the pure frozenset path, and under
-    ``REPRO_KERNEL=pure`` it exercises the bitset path.  Agreement with
-    the leading brute leg therefore pins the two representations to
-    each other on the whole differential corpus, whichever mode the
-    suite runs in.
-    """
-
-    engine = "kernel"
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def _opposite_mode(self) -> str:
-        from ..kernel import kernel_enabled
-
-        return "pure" if kernel_enabled() else "bitset"
-
-    def _call(self, method: str, *args):
-        from ..kernel import force_kernel
-
-        with force_kernel(self._opposite_mode()):
-            return getattr(self._inner, method)(*args)
-
-    def model_set(self, db):
-        return self._call("model_set", db)
-
-    def infers(self, db, formula):
-        return self._call("infers", db, formula)
-
-    def infers_literal(self, db, literal):
-        return self._call("infers_literal", db, literal)
-
-    def infers_brave(self, db, formula):
-        return self._call("infers_brave", db, formula)
-
-    def has_model(self, db):
-        return self._call("has_model", db)
-
-    def __getattr__(self, attr):
-        return getattr(self._inner, attr)
+#: first — it is the ground truth the others are judged against.
+DIFFERENTIAL_ENGINES = ("brute", "oracle", "cached", "planned")
 
 
 def differential_stack(name: str, engines=DIFFERENTIAL_ENGINES):
@@ -112,9 +57,7 @@ def differential_stack(name: str, engines=DIFFERENTIAL_ENGINES):
     ``tests/test_differential.py`` and the adversarial hunter
     (:mod:`repro.adversary.hunter`): every answer the oracle-, cache-
     and planner-backed engines give is compared against the brute
-    enumerator's.  The ``kernel`` engine is the brute enumerator
-    wrapped in :class:`KernelLegSemantics`, cross-checking bitset
-    against pure-frozenset internals on every answer.
+    enumerator's.
     """
     from ..semantics import get_semantics  # deferred: avoids the
     # semantics -> engine import cycle at module-load time
@@ -129,7 +72,6 @@ __all__ = [
     "ENGINE_CACHE",
     "EngineCache",
     "CachedSemantics",
-    "KernelLegSemantics",
     "MIN_PARALLEL_ATOMS",
     "ResilientSemantics",
     "RetryPolicy",

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 from ..logic.database import DisjunctiveDatabase
 from ..logic.interpretation import Interpretation
 from ..models.enumeration import (
+    _rank_order,
     all_models,
     minimal_models_brute,
     models_in_block,
@@ -159,10 +160,7 @@ def parallel_all_models(
         for ft, ff in crashed:
             RUNTIME_STATS.inc("worker_crashes_recovered")
             chunks.append(models_in_block(db, ft, ff))
-        atoms = sorted(db.vocabulary)
-        rank = {a: i for i, a in enumerate(atoms)}
-        merged = [m for chunk in chunks for m in chunk]
-        merged.sort(key=lambda m: sum(1 << rank[a] for a in m))
+        merged = _rank_order(db, [m for chunk in chunks for m in chunk])
         span.set_attributes(models=len(merged), crashed_blocks=len(crashed))
         return merged
 
@@ -194,7 +192,6 @@ def parallel_minimal_models(
         or current_scope() is not None
     ):
         return minimal_models_brute(db)
-    from ..models.enumeration import _rank_order
     from ..sat.decompose import decompose, product_interpretations
 
     with _trace.active_tracer().span(

@@ -4,33 +4,26 @@ Packs interpretations and clauses into Python ints over a per-database
 atom index so the hot primitives of the brute enumerators and the
 minimal-model machinery (clause satisfaction, subsumption, the
 decomposition product law) run as mask arithmetic.  See
-:mod:`repro.kernel.bitset` for the representation contract and the
-``REPRO_KERNEL=pure`` escape hatch.
+:mod:`repro.kernel.bitset` for the representation contract.
 """
 
 from .bitset import (
-    KERNEL_ENV_VAR,
     AtomTable,
     PackedDatabase,
     atom_table_for,
     clause_satisfied,
-    force_kernel,
     is_proper_submask,
-    kernel_enabled,
     packed_database_for,
     product_or_masks,
     subsets_in_table_order,
 )
 
 __all__ = [
-    "KERNEL_ENV_VAR",
     "AtomTable",
     "PackedDatabase",
     "atom_table_for",
     "clause_satisfied",
-    "force_kernel",
     "is_proper_submask",
-    "kernel_enabled",
     "packed_database_for",
     "product_or_masks",
     "subsets_in_table_order",

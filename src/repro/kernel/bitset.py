@@ -9,9 +9,9 @@ Python ints over a fixed per-database atom order.
 :class:`AtomTable` fixes that order: bit ``i`` is the ``i``-th atom of
 ``sorted(vocabulary)``, which makes the numeric value of a packed
 interpretation *identical* to the binary-counter rank used by
-:func:`repro.logic.interpretation.all_interpretations` and by the serial
-enumerator's ``_rank_order`` — mask order **is** enumeration order, so
-the bitset and pure paths produce byte-identical output sequences.
+:func:`repro.logic.interpretation.all_interpretations` — mask order
+**is** enumeration order, so sorting by :meth:`AtomTable.pack` puts any
+set of interpretations in the serial enumerator's output order.
 
 :class:`PackedDatabase` packs every clause into an ``(head, body_pos,
 body_neg)`` mask triple; classical satisfaction of a candidate mask
@@ -24,66 +24,17 @@ Both objects are pure functions of the database and are memoized in the
 process-wide engine cache exactly like the CNF translation
 (:func:`atom_table_for` / :func:`packed_database_for`).
 
-The representation is switchable at runtime: ``REPRO_KERNEL=pure`` in
-the environment (or the :func:`force_kernel` context manager, which
-wins over the environment) forces the historical frozenset path.  The
-switch affects the *internal representation only* — never planner
-routing, oracle accounting or output order — so golden plans and
-certifier envelopes are identical under either mode.
+The kernel is the only internal representation of the brute
+enumerators; tests pin it to a definition-literal frozenset reference
+(``tests/reference_models.py``), sequence for sequence.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic.database import DisjunctiveDatabase
 from ..logic.interpretation import Interpretation
-
-#: Environment variable of the escape hatch; any value other than
-#: ``"pure"`` (case-insensitive) leaves the bitset kernel on.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Context-local override set by :func:`force_kernel`; ``None`` defers
-#: to the environment.
-_FORCED_MODE: "ContextVar[Optional[str]]" = ContextVar(
-    "repro_kernel_mode", default=None
-)
-
-_MODES = ("bitset", "pure")
-
-
-def kernel_enabled() -> bool:
-    """Whether mask-based internals are active in this context.
-
-    :func:`force_kernel` overrides take precedence; otherwise the
-    ``REPRO_KERNEL`` environment variable decides (``pure`` disables,
-    anything else — including unset — enables).  Read per call, so test
-    monkeypatching of the environment takes effect immediately.
-    """
-    forced = _FORCED_MODE.get()
-    if forced is not None:
-        return forced != "pure"
-    return os.environ.get(KERNEL_ENV_VAR, "bitset").lower() != "pure"
-
-
-@contextmanager
-def force_kernel(mode: str) -> Iterator[None]:
-    """Force ``"bitset"`` or ``"pure"`` internals within a ``with`` block.
-
-    Context-local (safe under threads and nested blocks); used by the
-    differential kernel leg to run one engine on the *opposite*
-    representation of the ambient mode, and by the equivalence tests.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"kernel mode must be one of {_MODES}, got {mode!r}")
-    token = _FORCED_MODE.set(mode)
-    try:
-        yield
-    finally:
-        _FORCED_MODE.reset(token)
 
 
 class AtomTable:
@@ -207,10 +158,9 @@ def subsets_in_table_order(
 
     The local binary counter runs over the atoms sorted by their table
     bit position; because bit positions are themselves sorted-atom
-    order, this is simultaneously (a) the historical
-    ``sorted(atoms)``-counter order of the pure path and (b) increasing
-    packed-mask order — one deterministic order for both
-    representations (the ``_iter_product`` free-atom contract).
+    order, this is simultaneously (a) the ``sorted(atoms)`` binary
+    counter of ``all_interpretations`` and (b) increasing packed-mask
+    order (the ``_iter_product`` free-atom contract).
     """
     ordered = sorted(atoms, key=table.index.__getitem__)
     for mask in range(1 << len(ordered)):

@@ -2,20 +2,16 @@
 
 from .enumeration import (
     all_models,
-    lex_preferred,
     minimal_models_brute,
     models_entail_brute,
     pz_minimal_models_brute,
-    pz_preferred,
     prioritized_minimal_models_brute,
 )
 
 __all__ = [
     "all_models",
-    "lex_preferred",
     "minimal_models_brute",
     "models_entail_brute",
     "pz_minimal_models_brute",
-    "pz_preferred",
     "prioritized_minimal_models_brute",
 ]

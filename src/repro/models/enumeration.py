@@ -5,30 +5,26 @@ by the paper.  They are exponential in ``|V|`` by construction and serve
 as *ground truth* for the oracle-backed engines in the test suite, and as
 the reference semantics for small worked examples.
 
-Internally each sweep runs in one of two representations: the historical
-frozenset path, or the bitset kernel (:mod:`repro.kernel`) which packs
-candidates into Python ints over the database's :class:`~repro.kernel.
-AtomTable` and converts to :class:`~repro.logic.interpretation.
-Interpretation` only at the API boundary.  The two paths tick identical
-budget nodes and produce identical output *sequences* (mask order is the
-binary-counter enumeration order); ``REPRO_KERNEL=pure`` or
-:func:`repro.kernel.force_kernel` selects between them at runtime.
+Every sweep runs on the bitset kernel (:mod:`repro.kernel`): candidates
+are Python ints over the database's :class:`~repro.kernel.AtomTable`
+and become :class:`~repro.logic.interpretation.Interpretation` objects
+only at the API boundary.  Mask order is the binary-counter enumeration
+order, so every output list comes in that order.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from ..kernel import (
     atom_table_for,
     is_proper_submask,
-    kernel_enabled,
     packed_database_for,
     product_or_masks,
 )
 from ..logic.database import DisjunctiveDatabase
-from ..logic.interpretation import Interpretation, all_interpretations
+from ..logic.interpretation import Interpretation
 from ..runtime.budget import note_nodes
 
 
@@ -39,20 +35,13 @@ def all_models(db: DisjunctiveDatabase) -> List[Interpretation]:
     :class:`~repro.runtime.budget.BudgetScope`, so the ``2^|V|`` sweep is
     cut off by node ceilings and deadlines.
     """
-    if kernel_enabled():
-        packed = packed_database_for(db)
-        table = packed.table
-        out = []
-        for mask in range(1 << len(table)):
-            note_nodes(1)
-            if packed.is_model(mask):
-                out.append(table.unpack(mask))
-        return out
+    packed = packed_database_for(db)
+    table = packed.table
     out = []
-    for m in all_interpretations(db.vocabulary):
+    for mask in range(1 << len(table)):
         note_nodes(1)
-        if db.is_model(m):
-            out.append(m)
+        if packed.is_model(mask):
+            out.append(table.unpack(mask))
     return out
 
 
@@ -73,49 +62,58 @@ def models_in_block(
     base = frozenset(fixed_true)
     fixed = base | frozenset(fixed_false)
     free = sorted(frozenset(db.vocabulary) - fixed)
-    if kernel_enabled():
-        packed = packed_database_for(db)
-        table = packed.table
-        base_mask = table.pack(base)
-        free_bits = [table.bit(a) for a in free]
-        out = []
-        for counter in range(1 << len(free)):
-            note_nodes(1)
-            candidate = base_mask
-            for i, bit in enumerate(free_bits):
-                if counter >> i & 1:
-                    candidate |= bit
-            if packed.is_model(candidate):
-                out.append(table.unpack(candidate))
-        return out
+    packed = packed_database_for(db)
+    table = packed.table
+    base_mask = table.pack(base)
+    free_bits = [table.bit(a) for a in free]
     out = []
     for counter in range(1 << len(free)):
         note_nodes(1)
-        candidate = Interpretation(
-            itertools.chain(
-                base,
-                (free[i] for i in range(len(free)) if counter >> i & 1),
-            )
-        )
-        if db.is_model(candidate):
-            out.append(candidate)
+        candidate = base_mask
+        for i, bit in enumerate(free_bits):
+            if counter >> i & 1:
+                candidate |= bit
+        if packed.is_model(candidate):
+            out.append(table.unpack(candidate))
     return out
 
 
 def _rank_order(
     db: DisjunctiveDatabase, models: Iterable[Interpretation]
 ) -> List[Interpretation]:
-    """Models in the binary-counter order of the serial enumerator.
+    """Models in the binary-counter order of the serial enumerator: the
+    sort key is the packed mask over the database's atom table."""
+    return sorted(models, key=atom_table_for(db).pack)
 
-    The sort key is exactly the packed-mask value over the database's
-    atom table, so kernel and pure paths agree on the output order.
+
+def _product_in_rank_order(
+    db: DisjunctiveDatabase, per_part: Sequence[List[Interpretation]]
+) -> List[Interpretation]:
+    """The decomposition product of per-component model lists, in the
+    serial enumerator's order."""
+    table = atom_table_for(db)
+    part_masks = [[table.pack(m) for m in models] for models in per_part]
+    return [
+        table.unpack(mask) for mask in sorted(product_or_masks(part_masks))
+    ]
+
+
+def _undominated(
+    db: DisjunctiveDatabase, models: List[Interpretation], preferred
+) -> List[Interpretation]:
+    """The models no other model is ``preferred(other_mask, mask)`` to.
+
+    The quadratic comparison pass ticks one budget node per candidate,
+    since it can dominate the enumeration itself.
     """
-    if kernel_enabled():
-        pack = atom_table_for(db).pack
-        return sorted(models, key=pack)
-    atoms = sorted(db.vocabulary)
-    rank = {a: i for i, a in enumerate(atoms)}
-    return sorted(models, key=lambda m: sum(1 << rank[a] for a in m))
+    pack = atom_table_for(db).pack
+    masks = [pack(m) for m in models]
+    out = []
+    for m, mask in zip(models, masks):
+        note_nodes(1)
+        if not any(preferred(n, mask) for n in masks):
+            out.append(m)
+    return out
 
 
 def minimal_models_brute(
@@ -128,65 +126,17 @@ def minimal_models_brute(
     a product: the node count drops from ``2^|V|`` to ``Σᵢ 2^|Vᵢ|`` plus
     the (output-sized) product.  ``decompose=False`` is the pristine
     single-sweep reference the decomposed path is tested against.
-
-    The quadratic comparison pass also ticks budget nodes (one per
-    candidate), since it can dominate the enumeration itself.
     """
     if decompose:
         from ..sat.decompose import decompose as _split
-        from ..sat.decompose import product_interpretations
 
         parts = _split(db)
         if parts is not None:
-            per_part = [
-                minimal_models_brute(part, decompose=False)
-                for part in parts
-            ]
-            if kernel_enabled():
-                table = atom_table_for(db)
-                part_masks = [
-                    [table.pack(m) for m in models] for models in per_part
-                ]
-                return [
-                    table.unpack(mask)
-                    for mask in sorted(product_or_masks(part_masks))
-                ]
-            return _rank_order(db, product_interpretations(per_part))
-    models = all_models(db)
-    if kernel_enabled():
-        table = atom_table_for(db)
-        masks = [table.pack(m) for m in models]
-        out = []
-        for m, mask in zip(models, masks):
-            note_nodes(1)
-            if not any(is_proper_submask(o, mask) for o in masks):
-                out.append(m)
-        return out
-    out = []
-    for m in models:
-        note_nodes(1)
-        if not any(other < m for other in models):
-            out.append(m)
-    return out
-
-
-def pz_preferred(
-    n: Interpretation,
-    m: Interpretation,
-    p: FrozenSet[str],
-    q: FrozenSet[str],
-) -> bool:
-    """``N <_{P;Z} M``: same ``Q`` part, strictly smaller ``P`` part."""
-    if (n & q) != (m & q):
-        return False
-    return (n & p) < (m & p)
-
-
-def _pz_preferred_mask(n: int, m: int, p: int, q: int) -> bool:
-    """Mask form of :func:`pz_preferred`."""
-    if (n & q) != (m & q):
-        return False
-    return is_proper_submask(n & p, m & p)
+            return _product_in_rank_order(
+                db,
+                [minimal_models_brute(part, decompose=False) for part in parts],
+            )
+    return _undominated(db, all_models(db), is_proper_submask)
 
 
 def pz_minimal_models_brute(
@@ -197,10 +147,12 @@ def pz_minimal_models_brute(
 ) -> List[Interpretation]:
     """``MM(DB; P; Z)`` by explicit enumeration.
 
-    The ``(P; Z)``-preference order compares components pointwise, so it
-    factors over connected components exactly like plain minimality:
-    ``decompose=True`` assembles the answer as a product of per-component
-    sweeps (with the partition restricted to each component).
+    ``N <_{P;Z} M`` iff ``N`` and ``M`` agree on ``Q`` and ``N``'s ``P``
+    part is a proper subset of ``M``'s.  The preference order compares
+    components pointwise, so it factors over connected components
+    exactly like plain minimality: ``decompose=True`` assembles the
+    answer as a product of per-component sweeps (with the partition
+    restricted to each component).
     """
     p = frozenset(p)
     z = frozenset(z)
@@ -208,79 +160,30 @@ def pz_minimal_models_brute(
     db.check_partition(p, q, z)
     if decompose:
         from ..sat.decompose import decompose as _split
-        from ..sat.decompose import product_interpretations
 
         parts = _split(db)
         if parts is not None:
-            per_part = [
-                pz_minimal_models_brute(
-                    part,
-                    p & part.vocabulary,
-                    z & part.vocabulary,
-                    decompose=False,
-                )
-                for part in parts
-            ]
-            if kernel_enabled():
-                table = atom_table_for(db)
-                part_masks = [
-                    [table.pack(m) for m in models] for models in per_part
-                ]
-                return [
-                    table.unpack(mask)
-                    for mask in sorted(product_or_masks(part_masks))
-                ]
-            return _rank_order(db, product_interpretations(per_part))
-    models = all_models(db)
-    if kernel_enabled():
-        table = atom_table_for(db)
-        p_mask, q_mask = table.pack(p), table.pack(q)
-        masks = [table.pack(m) for m in models]
-        out = []
-        for m, mask in zip(models, masks):
-            note_nodes(1)
-            if not any(
-                _pz_preferred_mask(n, mask, p_mask, q_mask) for n in masks
-            ):
-                out.append(m)
-        return out
-    out = []
-    for m in models:
-        note_nodes(1)
-        if not any(pz_preferred(n, m, p, q) for n in models):
-            out.append(m)
-    return out
+            return _product_in_rank_order(
+                db,
+                [
+                    pz_minimal_models_brute(
+                        part,
+                        p & part.vocabulary,
+                        z & part.vocabulary,
+                        decompose=False,
+                    )
+                    for part in parts
+                ],
+            )
+    table = atom_table_for(db)
+    p_mask, q_mask = table.pack(p), table.pack(q)
 
+    def preferred(n: int, m: int) -> bool:
+        return (n & q_mask) == (m & q_mask) and is_proper_submask(
+            n & p_mask, m & p_mask
+        )
 
-def lex_preferred(
-    n: Interpretation,
-    m: Interpretation,
-    levels: Sequence[FrozenSet[str]],
-    q: FrozenSet[str],
-) -> bool:
-    """``N <_{P1>...>Pr;Z} M`` (lexicographic by priority level)."""
-    if (n & q) != (m & q):
-        return False
-    for level in levels:
-        n_part, m_part = n & level, m & level
-        if n_part == m_part:
-            continue
-        return n_part < m_part
-    return False
-
-
-def _lex_preferred_mask(
-    n: int, m: int, levels: Sequence[int], q: int
-) -> bool:
-    """Mask form of :func:`lex_preferred`."""
-    if (n & q) != (m & q):
-        return False
-    for level in levels:
-        n_part, m_part = n & level, m & level
-        if n_part == m_part:
-            continue
-        return is_proper_submask(n_part, m_part)
-    return False
+    return _undominated(db, all_models(db), preferred)
 
 
 def prioritized_minimal_models_brute(
@@ -288,7 +191,12 @@ def prioritized_minimal_models_brute(
     levels: Sequence[Iterable[str]],
     z: Iterable[str] = (),
 ) -> List[Interpretation]:
-    """Lexicographically minimal models by explicit enumeration."""
+    """Lexicographically minimal models by explicit enumeration.
+
+    ``N <_{P1>...>Pr;Z} M`` iff ``N`` and ``M`` agree on ``Q`` and, at
+    the first priority level where they differ, ``N``'s part is a proper
+    subset of ``M``'s.
+    """
     level_sets = [frozenset(level) for level in levels]
     z = frozenset(z)
     q = (
@@ -296,28 +204,21 @@ def prioritized_minimal_models_brute(
         - frozenset(itertools.chain.from_iterable(level_sets))
         - z
     )
-    models = all_models(db)
-    if kernel_enabled():
-        table = atom_table_for(db)
-        vocabulary = frozenset(table.atoms)
-        level_masks = [table.pack(level & vocabulary) for level in level_sets]
-        q_mask = table.pack(q)
-        masks = [table.pack(m) for m in models]
-        out = []
-        for m, mask in zip(models, masks):
-            note_nodes(1)
-            if not any(
-                _lex_preferred_mask(n, mask, level_masks, q_mask)
-                for n in masks
-            ):
-                out.append(m)
-        return out
-    out = []
-    for m in models:
-        note_nodes(1)
-        if not any(lex_preferred(n, m, level_sets, q) for n in models):
-            out.append(m)
-    return out
+    table = atom_table_for(db)
+    vocabulary = frozenset(table.atoms)
+    level_masks = [table.pack(level & vocabulary) for level in level_sets]
+    q_mask = table.pack(q)
+
+    def preferred(n: int, m: int) -> bool:
+        if (n & q_mask) != (m & q_mask):
+            return False
+        for level in level_masks:
+            n_part, m_part = n & level, m & level
+            if n_part != m_part:
+                return is_proper_submask(n_part, m_part)
+        return False
+
+    return _undominated(db, all_models(db), preferred)
 
 
 def models_entail_brute(models: Iterable[Interpretation], formula) -> bool:

@@ -19,7 +19,7 @@ serving; ``strict=True`` (the test suite) raises
 
 Engine scope:
 
-* ``oracle`` / ``fresh`` / ``cached`` — certified against the oracle
+* ``oracle`` / ``cached`` / ``planned`` — certified against the oracle
   envelopes (np-calls, Σ₂ᵖ dispatches, dispatch depth);
 * ``brute`` — certified against the exponential *node* envelope (brute
   enumeration is the ground truth, not a bounded-oracle machine, so its
@@ -53,7 +53,7 @@ CERTIFICATES = METRICS.counter(
 #: must meet the regular table-cell envelope, and when it chooses a
 #: fragment fast path the envelope is *tightened* (see
 #: :data:`FRAGMENT_ENVELOPES`).
-ORACLE_ENGINES = ("oracle", "fresh", "cached", "planned")
+ORACLE_ENGINES = ("oracle", "cached", "planned")
 
 #: Registry aliases the certifier resolves without importing the
 #: semantics registry (kept tiny on purpose; ``canonical_name`` falls

@@ -38,8 +38,6 @@ def iter_models(
     formula: Optional[Formula] = None,
     project: Optional[Iterable[str]] = None,
     max_models: Optional[int] = None,
-    engine: str = "cdcl",
-    reuse: bool = True,
 ) -> Iterator[Interpretation]:
     """Enumerate models of ``db ∧ extra_cnf ∧ formula`` projected onto
     ``project``.
@@ -56,9 +54,6 @@ def iter_models(
         project: atoms to project onto.  Defaults to the database
             vocabulary plus the atoms of the extra constraints.
         max_models: stop after this many models (``None`` = all).
-        engine: SAT engine to use.
-        reuse: draw the solver from the process pool (``False`` builds a
-            private throwaway solver — the ``fresh`` differential path).
     """
     default_project: set = set()
     if db is not None:
@@ -70,8 +65,7 @@ def iter_models(
     project_atoms = sorted(project if project is not None else default_project)
 
     with pooled_scope(
-        db, extra_cnf=extra_cnf, context=("enumerate",), engine=engine,
-        reuse=reuse,
+        db, extra_cnf=extra_cnf, context=("enumerate",)
     ) as scope:
         if formula is not None:
             scope.add_formula(formula)
@@ -94,8 +88,6 @@ def count_models(
     extra_cnf: Optional[Cnf] = None,
     formula: Optional[Formula] = None,
     project: Optional[Iterable[str]] = None,
-    engine: str = "cdcl",
-    reuse: bool = True,
 ) -> int:
     """The number of (projected) models."""
     return sum(
@@ -105,7 +97,5 @@ def count_models(
             extra_cnf=extra_cnf,
             formula=formula,
             project=project,
-            engine=engine,
-            reuse=reuse,
         )
     )

@@ -35,8 +35,9 @@ alive per ``(database, extra-theory)`` context instead:
               ...
               sat.add_clause(blocking)       # temporary too
 
-  ``reuse=False`` builds a throwaway solver with the identical interface
-  (the ``engine="fresh"`` differential-testing path).
+  A pool configured with ``maxsize`` 0 (:func:`configure_solver_pool`)
+  parks nothing: every checkout builds a cold solver, with the identical
+  interface and accounting.
 
 Budget ticks and fault injection are untouched: every ``solve`` still
 goes through :meth:`SatSolver.solve`, which ticks the active
@@ -271,18 +272,15 @@ class IncrementalSatSolver:
     Args:
         db: the base database (``None`` for a bare solver).
         extra_cnf: permanent extra clauses (count as part of the theory).
-        engine: ``"cdcl"`` (default) or ``"dpll"``.
     """
 
     def __init__(
         self,
         db: Optional[DisjunctiveDatabase] = None,
         extra_cnf: Optional[Cnf] = None,
-        engine: str = "cdcl",
     ):
-        self._sat = SatSolver(engine=engine)
+        self._sat = SatSolver()
         self.db = db
-        self.engine = engine
         if db is not None:
             self._sat.add_database(db)
         for clause in extra_cnf or ():
@@ -622,42 +620,30 @@ def acquire_solver(
     db: Optional[DisjunctiveDatabase] = None,
     extra_cnf: Optional[Cnf] = None,
     context: Tuple[Hashable, ...] = (),
-    engine: str = "cdcl",
-    reuse: bool = True,
     setup: Optional[Callable[[IncrementalSatSolver], None]] = None,
-) -> Tuple[Optional[Hashable], IncrementalSatSolver]:
+) -> Tuple[Hashable, IncrementalSatSolver]:
     """A (possibly warm) solver for ``(db, extra_cnf, context)``.
 
     Returns ``(key, solver)``; pass both to :func:`release_solver` when
-    done.  ``key`` is ``None`` when ``reuse=False`` (a throwaway solver
-    that is never pooled — the fresh-solver differential path).
-    ``setup`` runs once per *constructed* solver to assert permanent
-    context-specific content (e.g. a completion formula); it must be a
-    pure function of the key so warm and cold solvers agree.
+    done.  ``setup`` runs once per *constructed* solver to assert
+    permanent context-specific content (e.g. a completion formula); it
+    must be a pure function of the key so warm and cold solvers agree.
     """
     extra_key, extra_list = _canonical_extra(extra_cnf)
 
     def build() -> IncrementalSatSolver:
-        solver = IncrementalSatSolver(
-            db=db, extra_cnf=extra_list, engine=engine
-        )
+        solver = IncrementalSatSolver(db=db, extra_cnf=extra_list)
         if setup is not None:
             setup(solver)
         return solver
 
-    if not reuse:
-        return None, build()
-    key = (db, extra_key, tuple(context), engine)
+    key = (db, extra_key, tuple(context))
     return key, SOLVER_POOL.acquire(key, build)
 
 
-def release_solver(
-    key: Optional[Hashable], solver: IncrementalSatSolver
-) -> None:
-    """Return a solver obtained from :func:`acquire_solver` to the pool
-    (no-op for ``key=None`` throwaway solvers)."""
-    if key is not None:
-        SOLVER_POOL.release(key, solver)
+def release_solver(key: Hashable, solver: IncrementalSatSolver) -> None:
+    """Return a solver obtained from :func:`acquire_solver` to the pool."""
+    SOLVER_POOL.release(key, solver)
 
 
 @contextmanager
@@ -665,8 +651,6 @@ def pooled_scope(
     db: Optional[DisjunctiveDatabase] = None,
     extra_cnf: Optional[Cnf] = None,
     context: Tuple[Hashable, ...] = (),
-    engine: str = "cdcl",
-    reuse: bool = True,
     setup: Optional[Callable[[IncrementalSatSolver], None]] = None,
 ) -> Iterator[Scope]:
     """A fresh scope on a (possibly warm) pooled solver.
@@ -676,12 +660,7 @@ def pooled_scope(
     on exit, and the underlying solver returns to the pool warm.
     """
     key, solver = acquire_solver(
-        db=db,
-        extra_cnf=extra_cnf,
-        context=context,
-        engine=engine,
-        reuse=reuse,
-        setup=setup,
+        db=db, extra_cnf=extra_cnf, context=context, setup=setup
     )
     try:
         with solver.scope() as scope:

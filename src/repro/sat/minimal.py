@@ -22,8 +22,6 @@ and every witness query, shrink step, blocking-clause enumeration and
 candidate/check alternation happens in a selector-guarded
 :class:`~repro.sat.incremental.Scope` on that solver, so learned clauses
 accumulate across the whole query — and, via the pool, across *queries*.
-Pass ``reuse=False`` for a private throwaway solver (the ``fresh``
-differential-testing path).
 
 ``MM(DB)`` and ``MM(DB; P; Z)`` enumeration additionally decompose along
 connected components (see :mod:`repro.sat.decompose`): the minimal models
@@ -78,30 +76,19 @@ class _PooledSolverMixin:
         db: Optional[DisjunctiveDatabase],
         extra_cnf: Optional[Cnf],
         context: Tuple,
-        engine: str,
-        reuse: bool,
         setup=None,
     ) -> None:
         self._pool_key, self._inc = acquire_solver(
-            db=db,
-            extra_cnf=extra_cnf,
-            context=context,
-            engine=engine,
-            reuse=reuse,
-            setup=setup,
+            db=db, extra_cnf=extra_cnf, context=context, setup=setup
         )
-        if self._pool_key is not None:
-            self._finalizer = weakref.finalize(
-                self, SOLVER_POOL.release, self._pool_key, self._inc
-            )
-        else:
-            self._finalizer = None
+        self._finalizer = weakref.finalize(
+            self, SOLVER_POOL.release, self._pool_key, self._inc
+        )
 
     def close(self) -> None:
         """Return the underlying solver to the pool.  The object must not
         be queried afterwards (another user may check the solver out)."""
-        if self._finalizer is not None:
-            self._finalizer()
+        self._finalizer()
 
     def __enter__(self):
         return self
@@ -119,9 +106,6 @@ class MinimalModelSolver(_PooledSolverMixin):
         extra_cnf: additional clauses conjoined to the theory.
         universe: the atom set over which subset-minimality is taken;
             defaults to the database vocabulary.
-        engine: SAT engine for all queries.
-        reuse: draw the solver from the process pool (warm learned
-            clauses) rather than building a private one.
     """
 
     def __init__(
@@ -129,12 +113,8 @@ class MinimalModelSolver(_PooledSolverMixin):
         db: DisjunctiveDatabase,
         extra_cnf: Optional[Cnf] = None,
         universe: Optional[Iterable[str]] = None,
-        engine: str = "cdcl",
-        reuse: bool = True,
     ):
         self.db = db
-        self.engine = engine
-        self.reuse = reuse
         self.universe: Tuple[str, ...] = tuple(
             sorted(universe if universe is not None else db.vocabulary)
         )
@@ -147,9 +127,7 @@ class MinimalModelSolver(_PooledSolverMixin):
             universe_atoms = self.universe
             context = ("db-universe", universe_atoms)
             setup = lambda solver: solver.intern(universe_atoms)
-        self._attach_solver(
-            db, self._extra_cnf, context, engine, reuse, setup=setup
-        )
+        self._attach_solver(db, self._extra_cnf, context, setup=setup)
 
     # ------------------------------------------------------------------
     # Low-level: witness queries in scopes on the persistent solver
@@ -212,9 +190,7 @@ class MinimalModelSolver(_PooledSolverMixin):
             for part in parts:
                 if not part.clauses:
                     continue  # MM = {∅}
-                with MinimalModelSolver(
-                    part, engine=self.engine, reuse=self.reuse
-                ) as sub:
+                with MinimalModelSolver(part) as sub:
                     found = sub.find_minimal()
                 if found is None:
                     return None
@@ -270,9 +246,7 @@ class MinimalModelSolver(_PooledSolverMixin):
             check_deadline()
             if not part.clauses:
                 continue  # free atoms: MM = {∅}, neutral for the product
-            with MinimalModelSolver(
-                part, engine=self.engine, reuse=self.reuse
-            ) as sub:
+            with MinimalModelSolver(part) as sub:
                 models = list(sub.iter_minimal_models())
             if not models:
                 return  # an inconsistent component: MM(DB) = ∅
@@ -451,17 +425,13 @@ class PZMinimalModelSolver(_PooledSolverMixin):
         db: DisjunctiveDatabase,
         p: Iterable[str],
         z: Iterable[str],
-        engine: str = "cdcl",
-        reuse: bool = True,
     ):
         self.db = db
-        self.engine = engine
-        self.reuse = reuse
         self.p = frozenset(p)
         self.z = frozenset(z)
         self.q = frozenset(db.vocabulary) - self.p - self.z
         db.check_partition(self.p, self.q, self.z)
-        self._attach_solver(db, None, ("db",), engine, reuse)
+        self._attach_solver(db, None, ("db",))
 
     def witness_below(self, model: Iterable[str]) -> Optional[Interpretation]:
         """A model ``N <_{P;Z} M``, or ``None``.  Depends only on
@@ -673,9 +643,7 @@ class PZMinimalModelSolver(_PooledSolverMixin):
                     )
                 )
             else:
-                with PZMinimalModelSolver(
-                    part, p_i, z_i, engine=self.engine, reuse=self.reuse
-                ) as sub:
+                with PZMinimalModelSolver(part, p_i, z_i) as sub:
                     models = list(sub.iter_minimal_models())
             if not models:
                 return
@@ -705,12 +673,8 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
         db: DisjunctiveDatabase,
         levels: Sequence[Iterable[str]],
         z: Iterable[str] = (),
-        engine: str = "cdcl",
-        reuse: bool = True,
     ):
         self.db = db
-        self.engine = engine
-        self.reuse = reuse
         self.levels: List[frozenset] = [frozenset(level) for level in levels]
         self.z = frozenset(z)
         flat = frozenset(itertools.chain.from_iterable(self.levels))
@@ -719,7 +683,7 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
         if flat & self.z:
             raise SolverError("priority levels overlap with Z")
         self.q = frozenset(db.vocabulary) - flat - self.z
-        self._attach_solver(db, None, ("db",), engine, reuse)
+        self._attach_solver(db, None, ("db",))
 
     def witness_below(self, model: Iterable[str]) -> Optional[Interpretation]:
         """A model lexicographically below ``model``, or ``None``.
@@ -802,35 +766,26 @@ class PrioritizedMinimalModelSolver(_PooledSolverMixin):
 # ----------------------------------------------------------------------
 # Convenience functions
 # ----------------------------------------------------------------------
-def find_minimal_model(
-    db: DisjunctiveDatabase, engine: str = "cdcl", reuse: bool = True
-) -> Optional[Interpretation]:
+def find_minimal_model(db: DisjunctiveDatabase) -> Optional[Interpretation]:
     """Some subset-minimal model of ``db`` or ``None`` if inconsistent."""
-    with MinimalModelSolver(db, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(db) as solver:
         return solver.find_minimal()
 
 
 def minimal_models(
     db: DisjunctiveDatabase,
     max_models: Optional[int] = None,
-    engine: str = "cdcl",
-    reuse: bool = True,
 ) -> List[Interpretation]:
     """All subset-minimal models ``MM(DB)`` (bounded by ``max_models``)."""
-    with MinimalModelSolver(db, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(db) as solver:
         return list(solver.iter_minimal_models(max_models))
 
 
-def is_minimal_model(
-    db: DisjunctiveDatabase,
-    model: Iterable[str],
-    engine: str = "cdcl",
-    reuse: bool = True,
-) -> bool:
+def is_minimal_model(db: DisjunctiveDatabase, model: Iterable[str]) -> bool:
     """Whether ``model`` is a minimal model of ``db`` (model-ness is also
     verified)."""
     model_set = frozenset(model)
     if not db.is_model(model_set):
         return False
-    with MinimalModelSolver(db, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(db) as solver:
         return solver.is_minimal(model_set)

@@ -12,7 +12,7 @@ A :class:`SatSolver` is incremental: clauses can be added between
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..errors import SolverError
 from ..logic.atoms import Literal
@@ -23,7 +23,6 @@ from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from .cdcl import CdclSolver
-from .dpll import solve_dpll
 from .types import VariableMap
 
 
@@ -32,19 +31,11 @@ class SatSolver:
 
     Args:
         max_conflicts: optional conflict budget forwarded to the CDCL core.
-        engine: ``"cdcl"`` (default) or ``"dpll"`` (reference; ignores
-            incrementality optimizations but honors the same interface).
     """
 
-    def __init__(
-        self, max_conflicts: Optional[int] = None, engine: str = "cdcl"
-    ):
-        if engine not in ("cdcl", "dpll"):
-            raise SolverError(f"unknown engine {engine!r}")
-        self.engine = engine
+    def __init__(self, max_conflicts: Optional[int] = None):
         self.variables = VariableMap()
         self._core = CdclSolver(max_conflicts=max_conflicts)
-        self._clauses: List[List[int]] = []  # mirror for the DPLL engine
         self._known_unsat = False
         self._last_model: Optional[set] = None
 
@@ -53,9 +44,7 @@ class SatSolver:
     # ------------------------------------------------------------------
     def add_int_clause(self, literals: Iterable[int]) -> None:
         """Assert a clause given as integer literals (advanced use)."""
-        clause = list(literals)
-        self._clauses.append(clause)
-        if not self._core.add_clause(clause):
+        if not self._core.add_clause(list(literals)):
             self._known_unsat = True
 
     def add_clause(self, literals: Iterable[Literal]) -> None:
@@ -111,7 +100,6 @@ class SatSolver:
         scope retires so its guarded clauses stop clogging watch lists.
         Returns the number of clauses removed from the CDCL store."""
         number = self.variables.int_literal(literal)
-        self._clauses = [c for c in self._clauses if number not in c]
         if self._known_unsat:
             return 0
         return self._core.remove_clauses_with(number)
@@ -134,11 +122,6 @@ class SatSolver:
         if self._known_unsat:
             self._last_model = None
             return False
-        if self.engine == "dpll":
-            unit_clauses = [[l] for l in assumed]
-            model = solve_dpll(self._clauses + unit_clauses)
-            self._last_model = model
-            return model is not None
         satisfiable = self._core.solve(assumed)
         self._last_model = self._core.model() if satisfiable else None
         return satisfiable
@@ -187,25 +170,23 @@ class SatSolver:
 # ----------------------------------------------------------------------
 # One-shot helpers
 # ----------------------------------------------------------------------
-def is_satisfiable(cnf: Cnf, engine: str = "cdcl") -> bool:
+def is_satisfiable(cnf: Cnf) -> bool:
     """One-shot satisfiability of a symbolic CNF."""
-    solver = SatSolver(engine=engine)
+    solver = SatSolver()
     solver.add_cnf(cnf)
     return solver.solve()
 
 
-def database_is_consistent(db: DisjunctiveDatabase, engine: str = "cdcl") -> bool:
+def database_is_consistent(db: DisjunctiveDatabase) -> bool:
     """Whether the database has at least one classical model."""
-    solver = SatSolver(engine=engine)
+    solver = SatSolver()
     solver.add_database(db)
     return solver.solve()
 
 
-def find_model(
-    db: DisjunctiveDatabase, engine: str = "cdcl"
-) -> Optional[Interpretation]:
+def find_model(db: DisjunctiveDatabase) -> Optional[Interpretation]:
     """Some classical model of the database, or ``None``."""
-    solver = SatSolver(engine=engine)
+    solver = SatSolver()
     solver.add_database(db)
     if not solver.solve():
         return None

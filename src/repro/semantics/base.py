@@ -16,16 +16,15 @@ Each class offers an ``engine`` switch:
   realizing the paper's upper bounds,
 * ``"brute"`` — explicit enumeration over ``2^|V|`` (or ``3^|V|``)
   interpretations, the ground truth used in cross-validation tests,
-* ``"fresh"`` — the oracle procedures with throwaway SAT solvers: every
-  oracle call builds its own solver instead of drawing a warm one from
-  the process-wide :data:`~repro.sat.incremental.SOLVER_POOL`.  The
-  differential-testing twin of ``"oracle"`` (same algorithms, no reuse),
-  and the right choice when solver state must not leak between queries
-  (e.g. measuring cold-start costs),
-* ``"cached"`` — the oracle engine behind the process-wide memo cache
-  (:mod:`repro.engine`); available through :func:`get_semantics` and the
-  session layer, which wrap the oracle instance in a
-  :class:`~repro.engine.cached.CachedSemantics` façade.
+* ``"cached"`` / ``"planned"`` / ``"resilient"`` — wrappers over the
+  oracle instance (memo cache, fragment planner, budgets with
+  retry/fallback), available through :func:`get_semantics` and the
+  session layer.
+
+Whether the oracle procedures draw warm SAT solvers is a property of the
+process-wide :data:`~repro.sat.incremental.SOLVER_POOL`, not an engine:
+``configure_solver_pool(0)`` makes every oracle call build its own
+solver (e.g. for measuring cold-start costs).
 
 The registry maps names and historical aliases (``"circ"``, ``"wgcwa"``,
 ``"pms"``, ...) to classes; :func:`get_semantics` instantiates by name and
@@ -50,19 +49,24 @@ from ..obs.accounting import observe as _observe
 from ..obs.metrics import METRICS
 
 #: Valid engine names accepted by :func:`get_semantics`.
-ENGINES = (
-    "oracle", "fresh", "brute", "cached", "resilient", "planned", "kernel"
-)
+ENGINES = ("oracle", "brute", "cached", "resilient", "planned")
 
-#: Engines concrete semantics classes implement directly ("cached",
-#: "resilient", "planned" and "kernel" are wrappers realized by
-#: :mod:`repro.engine` / :mod:`repro.analysis`).  "fresh" runs the
-#: oracle decision procedures with pooling disabled.
-CONCRETE_ENGINES = ("oracle", "fresh", "brute")
+#: Engines concrete semantics classes implement directly.
+CONCRETE_ENGINES = ("oracle", "brute")
 
-#: Engine names realized as wrapper façades over a concrete instance
-#: ("kernel" wraps the brute enumerator; the rest wrap oracle).
-WRAPPER_ENGINES = ("cached", "resilient", "planned", "kernel")
+#: Engine names realized as wrapper façades over the oracle instance
+#: (by :mod:`repro.engine` / :mod:`repro.analysis`).
+WRAPPER_ENGINES = ("cached", "resilient", "planned")
+
+
+def check_engine(engine: str) -> None:
+    """Raise :class:`~repro.errors.ReproError` naming the valid engines
+    unless ``engine`` is one of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ReproError(
+            f"unknown engine {engine!r}; expected one of "
+            + ", ".join(ENGINES)
+        )
 
 
 #: The shared entry points every semantics class exposes; these are the
@@ -208,12 +212,6 @@ class Semantics(ABC):
             )
         self.engine = engine
 
-    @property
-    def sat_reuse(self) -> bool:
-        """Whether this instance's oracle calls may draw warm solvers
-        from the process-wide pool (``False`` under ``engine="fresh"``)."""
-        return self.engine != "fresh"
-
     # ------------------------------------------------------------------
     # Applicability
     # ------------------------------------------------------------------
@@ -340,13 +338,6 @@ def get_semantics(name: str, **kwargs) -> Semantics:
     head-cycle-free ⇒ NP-level foundedness machine, otherwise the
     oracle procedures verbatim).
 
-    ``engine="kernel"`` returns the brute instance wrapped in the
-    differential kernel leg
-    (:class:`~repro.engine.KernelLegSemantics`): every entry point runs
-    on the interpretation representation *opposite* to the ambient one
-    (bitset masks vs. pure frozensets), cross-checking the two kernel
-    code paths against each other.
-
     ``engine="resilient"`` returns the oracle instance wrapped in the
     deadline-governed, fault-tolerant engine
     (:class:`~repro.engine.resilient.ResilientSemantics`), with the brute
@@ -380,13 +371,6 @@ def get_semantics(name: str, **kwargs) -> Semantics:
             **{**kwargs, "engine": "oracle"}
         )
         return PlannedSemantics(inner)
-    if engine == "kernel":
-        from ..engine import KernelLegSemantics
-
-        inner = SEMANTICS[resolve_name(name)](
-            **{**kwargs, "engine": "brute"}
-        )
-        return KernelLegSemantics(inner)
     if engine == "resilient":
         from ..engine.resilient import ResilientSemantics
 

@@ -51,9 +51,7 @@ class Ccwa(PartitionedSemantics):
             )
         # One Σ₂ᵖ dispatch per P-atom, asked as a single batched
         # incremental sweep sharing one solver scope.
-        with PZMinimalModelSolver(
-            db, p, z, reuse=self.sat_reuse
-        ) as solver:
+        with PZMinimalModelSolver(db, p, z) as solver:
             return solver.free_p_atoms_sweep()
 
     def model_set(
@@ -65,9 +63,7 @@ class Ccwa(PartitionedSemantics):
             return frozenset(m for m in all_models(db) if not (m & free))
         augmented = augmented_database(db, free)
         return frozenset(
-            iter_models(
-                augmented, project=db.vocabulary, reuse=self.sat_reuse
-            )
+            iter_models(augmented, project=db.vocabulary)
         )
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
@@ -76,9 +72,7 @@ class Ccwa(PartitionedSemantics):
         if self.engine == "brute":
             return super().infers(db, formula)
         augmented = augmented_database(db, self.free_atoms(db))
-        with pooled_scope(
-            augmented, context=("db",), reuse=self.sat_reuse
-        ) as sat:
+        with pooled_scope(augmented, context=("db",)) as sat:
             sat.add_formula(formula, positive=False)
             return not sat.solve()
 
@@ -92,9 +86,7 @@ class Ccwa(PartitionedSemantics):
         if not literal.positive and literal.atom in p:
             # ¬x for x ∈ P: exactly the closure test MM(DB;P;Z) |= ¬x
             # (one Σ₂ᵖ-primitive query).
-            with PZMinimalModelSolver(
-                db, p, self.z, reuse=self.sat_reuse
-            ) as solver:
+            with PZMinimalModelSolver(db, p, self.z) as solver:
                 return (
                     solver.find_minimal_satisfying(Var(literal.atom))
                     is None

@@ -81,9 +81,8 @@ class CircumscriptionChecker:
     enforced against the concrete model ``M`` and strictness as a clause.
     """
 
-    def __init__(self, db: DisjunctiveDatabase, p, z, reuse: bool = True):
+    def __init__(self, db: DisjunctiveDatabase, p, z):
         self.db = db
-        self.reuse = reuse
         self.p = frozenset(p)
         self.z = frozenset(z)
         self.q = frozenset(db.vocabulary) - self.p - self.z
@@ -97,9 +96,7 @@ class CircumscriptionChecker:
             return False
         # The renamed database is the permanent theory; everything tied
         # to the concrete model M lives in one retractable scope.
-        with pooled_scope(
-            self.renamed_db, context=("db",), reuse=self.reuse
-        ) as sat:
+        with pooled_scope(self.renamed_db, context=("db",)) as sat:
             # Q is shared between the copies: fix it to M's values.
             for atom in sorted(self.q):
                 sat.add_unit(
@@ -128,7 +125,7 @@ class Circumscription(PartitionedSemantics):
 
     def _checker(self, db: DisjunctiveDatabase) -> CircumscriptionChecker:
         p, _q, z = self.partition(db)
-        return CircumscriptionChecker(db, p, z, reuse=self.sat_reuse)
+        return CircumscriptionChecker(db, p, z)
 
     def model_set(
         self, db: DisjunctiveDatabase
@@ -143,9 +140,7 @@ class Circumscription(PartitionedSemantics):
             )
         return frozenset(
             m
-            for m in iter_models(
-                db, project=db.vocabulary, reuse=self.sat_reuse
-            )
+            for m in iter_models(db, project=db.vocabulary)
             if checker.is_circumscribed(m)
         )
 
@@ -160,9 +155,7 @@ class Circumscription(PartitionedSemantics):
         # Guess-and-check: candidates are models of DB ∧ ¬F; whether a
         # model is circumscribed depends only on its P ∪ Q part, so failed
         # candidates are blocked on that projection.
-        with pooled_scope(
-            db, context=("db",), reuse=self.sat_reuse
-        ) as searcher:
+        with pooled_scope(db, context=("db",)) as searcher:
             searcher.add_formula(Not(formula))
             while True:
                 check_deadline()

@@ -39,13 +39,11 @@ from .base import Semantics, ground_query, register
 from .gcwa import augmented_database
 
 
-def cwa_free_atoms(
-    db: DisjunctiveDatabase, reuse: bool = True
-) -> FrozenSet[str]:
+def cwa_free_atoms(db: DisjunctiveDatabase) -> FrozenSet[str]:
     """``{x : M(DB) ⊭ x}`` — the atoms Reiter's closure negates
     (one NP-oracle call per atom, all against one warm solver)."""
     free = set()
-    with pooled_scope(db, context=("db",), reuse=reuse) as sat:
+    with pooled_scope(db, context=("db",)) as sat:
         for atom in sorted(db.vocabulary):
             if sat.solve([Literal.neg(atom)]):
                 free.add(atom)
@@ -55,23 +53,19 @@ def cwa_free_atoms(
     return frozenset(free)
 
 
-def cwa_closure(
-    db: DisjunctiveDatabase, reuse: bool = True
-) -> DisjunctiveDatabase:
+def cwa_closure(db: DisjunctiveDatabase) -> DisjunctiveDatabase:
     """``CWA(DB) = DB ∪ {¬x : x free}`` as a database."""
-    return augmented_database(db, cwa_free_atoms(db, reuse=reuse))
+    return augmented_database(db, cwa_free_atoms(db))
 
 
-def cwa_consistent_linear(
-    db: DisjunctiveDatabase, reuse: bool = True
-) -> "tuple[bool, int]":
+def cwa_consistent_linear(db: DisjunctiveDatabase) -> "tuple[bool, int]":
     """Consistency of the closure with ``|V| + 1`` NP calls.
 
     Returns ``(consistent, np_calls)``.
     """
     calls = 0
     free: List[str] = []
-    with pooled_scope(db, context=("db",), reuse=reuse) as sat:
+    with pooled_scope(db, context=("db",)) as sat:
         for atom in sorted(db.vocabulary):
             calls += 1
             if sat.solve([Literal.neg(atom)]):
@@ -95,9 +89,7 @@ def _copy(atom: str, index: int) -> str:
     return f"{atom}__w{index}"
 
 
-def cwa_consistent_theta(
-    db: DisjunctiveDatabase, reuse: bool = True
-) -> CwaThetaResult:
+def cwa_consistent_theta(db: DisjunctiveDatabase) -> CwaThetaResult:
     """Consistency of ``CWA(DB)`` with ``O(log |V|)`` NP-oracle calls.
 
     Query ``Q(k)``: one SAT instance over ``k`` disjoint renamed copies
@@ -160,7 +152,6 @@ def cwa_consistent_theta(
         # repeated theta runs on the same database revisit the same keys.
         with pooled_scope(
             context=("cwa-theta", db, k, with_closure_copy),
-            reuse=reuse,
             setup=install(k, with_closure_copy),
         ) as sat:
             return sat.solve()
@@ -177,7 +168,7 @@ def cwa_consistent_theta(
     if k_star == 0:
         # Nothing is negated; closure = DB, consistent iff DB is.
         calls += 1
-        with pooled_scope(db, context=("db",), reuse=reuse) as sat:
+        with pooled_scope(db, context=("db",)) as sat:
             consistent = sat.solve()
     else:
         consistent = query(k_star, with_closure_copy=True)
@@ -212,20 +203,16 @@ class Cwa(Semantics):  # lint: ok RPR005 -- baseline outside Tables 1/2
             return frozenset(
                 m for m in all_models(db) if not (m & free)
             )
-        closure = cwa_closure(db, reuse=self.sat_reuse)
-        return frozenset(
-            iter_models(closure, project=db.vocabulary, reuse=self.sat_reuse)
-        )
+        closure = cwa_closure(db)
+        return frozenset(iter_models(closure, project=db.vocabulary))
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
         self.validate(db)
         formula = ground_query(db, formula)
         if self.engine == "brute":
             return super().infers(db, formula)
-        closure = cwa_closure(db, reuse=self.sat_reuse)
-        with pooled_scope(
-            closure, context=("db",), reuse=self.sat_reuse
-        ) as sat:
+        closure = cwa_closure(db)
+        with pooled_scope(closure, context=("db",)) as sat:
             sat.add_formula(formula, positive=False)
             return not sat.solve()
 
@@ -233,5 +220,5 @@ class Cwa(Semantics):  # lint: ok RPR005 -- baseline outside Tables 1/2
         self.validate(db)
         if self.engine == "brute":
             return super().has_model(db)
-        consistent, _calls = cwa_consistent_linear(db, reuse=self.sat_reuse)
+        consistent, _calls = cwa_consistent_linear(db)
         return consistent

@@ -106,9 +106,7 @@ class Ddr(Semantics):
             return frozenset(m for m in all_models(db) if not (m & negated))
         augmented = augmented_database(db, negated)
         return frozenset(
-            iter_models(
-                augmented, project=db.vocabulary, reuse=self.sat_reuse
-            )
+            iter_models(augmented, project=db.vocabulary)
         )
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
@@ -118,9 +116,7 @@ class Ddr(Semantics):
             return super().infers(db, formula)
         # coNP upper bound: polynomial fixpoint + one UNSAT call.
         augmented = augmented_database(db, self.negated_atoms(db))
-        with pooled_scope(
-            augmented, context=("db",), reuse=self.sat_reuse
-        ) as sat:
+        with pooled_scope(augmented, context=("db",)) as sat:
             sat.add_formula(formula, positive=False)
             return not sat.solve()
 
@@ -144,7 +140,5 @@ class Ddr(Semantics):
         if self.engine == "brute":
             return super().has_model(db)
         augmented = augmented_database(db, self.negated_atoms(db))
-        with pooled_scope(
-            augmented, context=("db",), reuse=self.sat_reuse
-        ) as sat:
+        with pooled_scope(augmented, context=("db",)) as sat:
             return sat.solve()

@@ -30,19 +30,14 @@ from ..sat.minimal import MinimalModelSolver
 from .base import Semantics, ground_query, register
 
 
-def is_stable_model(
-    db: DisjunctiveDatabase,
-    model: Interpretation,
-    engine: str = "cdcl",
-    reuse: bool = True,
-) -> bool:
+def is_stable_model(db: DisjunctiveDatabase, model: Interpretation) -> bool:
     """``M ∈ MM(DB^M)`` — the Σ₂ᵖ verifier's check (polynomial plus one
     NP-oracle call for minimality)."""
     model = Interpretation(model)
     reduct = gl_reduct(db, model)
     if not reduct.is_model(model):
         return False
-    with MinimalModelSolver(reduct, engine=engine, reuse=reuse) as solver:
+    with MinimalModelSolver(reduct) as solver:
         return solver.is_minimal(model)
 
 
@@ -89,9 +84,7 @@ class Dsm(Semantics):
         candidates come from the SAT oracle; each is checked with one
         NP-oracle minimality call; exact blocking."""
         vocabulary = sorted(db.vocabulary)
-        with pooled_scope(
-            db, context=("db",), reuse=self.sat_reuse
-        ) as searcher:
+        with pooled_scope(db, context=("db",)) as searcher:
             if condition is not None:
                 searcher.add_formula(condition)
             while True:
@@ -99,7 +92,7 @@ class Dsm(Semantics):
                 if not searcher.solve():
                     return
                 candidate = searcher.model(restrict_to=db.vocabulary)
-                if is_stable_model(db, candidate, reuse=self.sat_reuse):
+                if is_stable_model(db, candidate):
                     yield candidate
                 searcher.add_clause(
                     [

@@ -76,9 +76,7 @@ class Ecwa(PartitionedSemantics):
         p, _q, z = self.partition(db)
         if self.engine == "brute":
             return frozenset(pz_minimal_models_brute(db, p, z))
-        with PZMinimalModelSolver(
-            db, p, z, reuse=self.sat_reuse
-        ) as solver:
+        with PZMinimalModelSolver(db, p, z) as solver:
             return frozenset(solver.iter_minimal_models())
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
@@ -87,9 +85,7 @@ class Ecwa(PartitionedSemantics):
         if self.engine == "brute":
             return super().infers(db, formula)
         p, _q, z = self.partition(db)
-        with PZMinimalModelSolver(
-            db, p, z, reuse=self.sat_reuse
-        ) as solver:
+        with PZMinimalModelSolver(db, p, z) as solver:
             return solver.entails(formula)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:

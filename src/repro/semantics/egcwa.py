@@ -38,7 +38,7 @@ class Egcwa(Semantics):
         self.validate(db)
         if self.engine == "brute":
             return frozenset(minimal_models_brute(db))
-        with MinimalModelSolver(db, reuse=self.sat_reuse) as solver:
+        with MinimalModelSolver(db) as solver:
             return frozenset(solver.iter_minimal_models())
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
@@ -47,7 +47,7 @@ class Egcwa(Semantics):
         if self.engine == "brute":
             return super().infers(db, formula)
         # Π₂ᵖ upper bound: no minimal model satisfies the negation.
-        with MinimalModelSolver(db, reuse=self.sat_reuse) as solver:
+        with MinimalModelSolver(db) as solver:
             return solver.entails(formula)
 
     def infers_brave(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
@@ -58,7 +58,7 @@ class Egcwa(Semantics):
         if self.engine == "brute":
             return super().infers_brave(db, formula)
         # Σ₂ᵖ witness search: a minimal model satisfying the formula.
-        with MinimalModelSolver(db, reuse=self.sat_reuse) as solver:
+        with MinimalModelSolver(db) as solver:
             return solver.find_minimal_satisfying(formula) is not None
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:

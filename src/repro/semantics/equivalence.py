@@ -23,7 +23,7 @@ from .base import Semantics, get_semantics
 
 
 def classically_equivalent(
-    db1: DisjunctiveDatabase, db2: DisjunctiveDatabase, reuse: bool = True
+    db1: DisjunctiveDatabase, db2: DisjunctiveDatabase
 ) -> bool:
     """Whether ``M(db1) = M(db2)`` over the union vocabulary
     (two UNSAT calls; each side's theory is a pooled solver and the other
@@ -31,7 +31,7 @@ def classically_equivalent(
     vocabulary = db1.vocabulary | db2.vocabulary
     for left, right in ((db1, db2), (db2, db1)):
         with pooled_scope(
-            left.with_vocabulary(vocabulary), context=("db",), reuse=reuse
+            left.with_vocabulary(vocabulary), context=("db",)
         ) as sat:
             sat.add_formula(Not(right.to_formula()))
             if sat.solve():
@@ -40,13 +40,13 @@ def classically_equivalent(
 
 
 def classical_difference_witness(
-    db1: DisjunctiveDatabase, db2: DisjunctiveDatabase, reuse: bool = True
+    db1: DisjunctiveDatabase, db2: DisjunctiveDatabase
 ) -> Optional[Interpretation]:
     """A model of exactly one of the two databases, or ``None``."""
     vocabulary = db1.vocabulary | db2.vocabulary
     for left, right in ((db1, db2), (db2, db1)):
         with pooled_scope(
-            left.with_vocabulary(vocabulary), context=("db",), reuse=reuse
+            left.with_vocabulary(vocabulary), context=("db",)
         ) as sat:
             sat.add_formula(Not(right.to_formula()))
             if sat.solve():

@@ -47,15 +47,13 @@ def free_for_negation_brute(db: DisjunctiveDatabase) -> FrozenSet[str]:
     )
 
 
-def free_for_negation(
-    db: DisjunctiveDatabase, reuse: bool = True
-) -> FrozenSet[str]:
+def free_for_negation(db: DisjunctiveDatabase) -> FrozenSet[str]:
     """``ff(DB)`` via the Σ₂ᵖ primitive: ``x ∈ ff`` iff no minimal model
     satisfies ``x`` — one Σ₂ᵖ dispatch per atom, asked as a single
     batched incremental sweep (see
     :meth:`~repro.sat.minimal.MinimalModelSolver.free_for_negation_sweep`)
     so all |V| candidate literals share one solver scope."""
-    with MinimalModelSolver(db, reuse=reuse) as engine:
+    with MinimalModelSolver(db) as engine:
         return engine.free_for_negation_sweep()
 
 
@@ -80,7 +78,7 @@ class Gcwa(Semantics):
         """The atoms the closure negates."""
         if self.engine == "brute":
             return free_for_negation_brute(db)
-        return free_for_negation(db, reuse=self.sat_reuse)
+        return free_for_negation(db)
 
     def model_set(
         self, db: DisjunctiveDatabase
@@ -95,9 +93,7 @@ class Gcwa(Semantics):
             )
         augmented = augmented_database(db, free)
         return frozenset(
-            iter_models(
-                augmented, project=db.vocabulary, reuse=self.sat_reuse
-            )
+            iter_models(augmented, project=db.vocabulary)
         )
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
@@ -109,9 +105,7 @@ class Gcwa(Semantics):
         # entailment call on the augmented theory.  (The Θ₂ᵖ-style
         # O(log n)-oracle-call algorithm is in repro.complexity.machines.)
         augmented = augmented_database(db, self.free_atoms(db))
-        with pooled_scope(
-            augmented, context=("db",), reuse=self.sat_reuse
-        ) as sat:
+        with pooled_scope(augmented, context=("db",)) as sat:
             sat.add_formula(formula, positive=False)
             return not sat.solve()
 
@@ -126,7 +120,7 @@ class Gcwa(Semantics):
         # MM(DB) |= ¬x; and x holds in all GCWA models iff it holds in all
         # minimal models, because every GCWA model contains some minimal
         # model and atoms persist upward.
-        with MinimalModelSolver(db, reuse=self.sat_reuse) as engine:
+        with MinimalModelSolver(db) as engine:
             if literal.positive:
                 return engine.entails(Var(literal.atom))
             return (

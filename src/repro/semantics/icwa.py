@@ -136,16 +136,10 @@ class Icwa(Semantics):
             )
         from ..sat.enumerate import iter_models
 
-        with PrioritizedMinimalModelSolver(
-            shifted, levels, self.z, reuse=self.sat_reuse
-        ) as solver:
+        with PrioritizedMinimalModelSolver(shifted, levels, self.z) as solver:
             return frozenset(
                 m
-                for m in iter_models(
-                    shifted,
-                    project=shifted.vocabulary,
-                    reuse=self.sat_reuse,
-                )
+                for m in iter_models(shifted, project=shifted.vocabulary)
                 if solver.is_minimal(m)
             )
 
@@ -157,9 +151,7 @@ class Icwa(Semantics):
                 shifted, levels, self.z
             )
             return all(m.satisfies(formula) for m in models)
-        with PrioritizedMinimalModelSolver(
-            shifted, levels, self.z, reuse=self.sat_reuse
-        ) as solver:
+        with PrioritizedMinimalModelSolver(shifted, levels, self.z) as solver:
             return solver.entails(formula)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:

@@ -133,14 +133,13 @@ def _tp_setup(db: DisjunctiveDatabase):
 def is_partial_stable(
     db: DisjunctiveDatabase,
     interpretation: ThreeValuedInterpretation,
-    reuse: bool = True,
 ) -> bool:
     """``I ∈ MM₃(DB^I)`` — polynomial work plus one NP-oracle call."""
     if not satisfies_reduct(db, interpretation):
         return False
     atoms = sorted(db.vocabulary)
     with pooled_scope(
-        context=("pdsm-check", db), reuse=reuse, setup=_tp_setup(db)
+        context=("pdsm-check", db), setup=_tp_setup(db)
     ) as solver:
         for clause in _reduct_constraint_clauses(db, interpretation):
             solver.add_clause(clause)
@@ -248,11 +247,7 @@ class Pdsm(Semantics):
                 ]
                 solver.add_clause(full)
 
-        return pooled_scope(
-            context=("pdsm-candidates", db),
-            reuse=self.sat_reuse,
-            setup=setup,
-        )
+        return pooled_scope(context=("pdsm-candidates", db), setup=setup)
 
     def _decode(
         self, db: DisjunctiveDatabase, model
@@ -283,7 +278,7 @@ class Pdsm(Semantics):
                     return
                 raw = searcher.model(restrict_to=encoding_atoms)
                 candidate = self._decode(db, raw)
-                if is_partial_stable(db, candidate, reuse=self.sat_reuse):
+                if is_partial_stable(db, candidate):
                     yield candidate
                 searcher.add_clause(
                     [

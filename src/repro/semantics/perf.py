@@ -142,7 +142,6 @@ def preferable_witness(
     db: DisjunctiveDatabase,
     model: Interpretation,
     priorities: PriorityRelation,
-    reuse: bool = True,
 ) -> Optional[Interpretation]:
     """A model preferable to ``model``, by one SAT call (the paper's
     "``M0`` is perfect iff ``DB'`` has no model" reduction: ``DB'`` is
@@ -150,7 +149,7 @@ def preferable_witness(
     m = frozenset(model)
     in_m = sorted(m)
     out_m = sorted(frozenset(db.vocabulary) - m)
-    with pooled_scope(db, context=("db",), reuse=reuse) as solver:
+    with pooled_scope(db, context=("db",)) as solver:
         # N differs from M.
         solver.add_clause(
             [Literal.neg(a) for a in in_m] + [Literal.pos(a) for a in out_m]
@@ -170,7 +169,6 @@ def is_perfect(
     db: DisjunctiveDatabase,
     model: Interpretation,
     priorities: Optional[PriorityRelation] = None,
-    reuse: bool = True,
 ) -> bool:
     """Whether ``model`` is a perfect model of ``db`` (coNP check)."""
     model = Interpretation(model)
@@ -178,7 +176,7 @@ def is_perfect(
         return False
     if priorities is None:
         priorities = priorities_for(db)
-    return preferable_witness(db, model, priorities, reuse=reuse) is None
+    return preferable_witness(db, model, priorities) is None
 
 
 @register
@@ -220,9 +218,7 @@ class Perf(Semantics):
         """Guess-and-check enumeration of perfect models: SAT candidates,
         coNP perfect check per candidate, exact blocking."""
         vocabulary = sorted(db.vocabulary)
-        with pooled_scope(
-            db, context=("db",), reuse=self.sat_reuse
-        ) as searcher:
+        with pooled_scope(db, context=("db",)) as searcher:
             if condition is not None:
                 searcher.add_formula(condition)
             while True:
@@ -230,9 +226,7 @@ class Perf(Semantics):
                 if not searcher.solve():
                     return
                 candidate = searcher.model(restrict_to=db.vocabulary)
-                if is_perfect(
-                    db, candidate, priorities, reuse=self.sat_reuse
-                ):
+                if is_perfect(db, candidate, priorities):
                     yield candidate
                 searcher.add_clause(
                     [

@@ -119,9 +119,7 @@ class Pws(Semantics):
         """Enumerate possible models (optionally satisfying a condition)
         by SAT candidate generation + polynomial possible-model check."""
         vocabulary = sorted(db.vocabulary)
-        with pooled_scope(
-            db, context=("db",), reuse=self.sat_reuse
-        ) as solver:
+        with pooled_scope(db, context=("db",)) as solver:
             if condition is not None:
                 solver.add_formula(condition)
             while True:

@@ -137,9 +137,7 @@ class Supported(Semantics):  # lint: ok RPR005 -- comparison semantics, no table
             solver.intern(vocabulary)
             solver.add_formula(clark_completion(db))
 
-        return pooled_scope(
-            context=("completion", db), reuse=self.sat_reuse, setup=setup
-        )
+        return pooled_scope(context=("completion", db), setup=setup)
 
     def model_set(self, db: DisjunctiveDatabase) -> FrozenSet[Interpretation]:
         self.validate(db)

@@ -57,6 +57,7 @@ from ..runtime.budget import Budget, BudgetExceeded, budget_scope
 from ..runtime.faults import FaultInjected, FaultPlan, WorkerCrash, fault_plan
 from ..sat.incremental import checkout_token, solver_pool_stats
 from ..semantics import resolve_name
+from ..semantics.base import check_engine
 from ..session import DatabaseSession
 from .http import HttpError
 
@@ -225,6 +226,7 @@ class QueryService:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        check_engine(engine)
         self.engine = engine
         self.max_queue = max_queue
         self.workers = workers

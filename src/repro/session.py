@@ -39,6 +39,7 @@ from .logic.formula import Formula
 from .logic.parser import parse_formula
 from .runtime.budget import RUNTIME_STATS, Budget
 from .semantics import Semantics, get_semantics, resolve_name
+from .semantics.base import check_engine
 from .semantics.explain import (
     CounterModelCertificate,
     explain_non_inference,
@@ -143,6 +144,7 @@ class DatabaseSession:
         certificates: bool = True,
         certifier: Optional[Certifier] = DEFAULT_CERTIFIER,
     ):
+        check_engine(engine)
         if budget is not None and engine != "resilient":
             raise ReproError(
                 "budget= requires engine='resilient' "

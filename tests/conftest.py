@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.logic.clause import Clause
 from repro.logic.database import DisjunctiveDatabase
 from repro.logic.parser import parse_database
+from repro.sat.incremental import DEFAULT_POOL_MAXSIZE, configure_solver_pool
 
 # Project-wide hypothesis profile: no deadline (SAT calls vary in time),
 # modest example counts to keep the suite quick.
@@ -79,6 +80,18 @@ def positive_databases(draw, max_clauses=5):
     """Strategy for Table 1 regime databases (no ICs, no negation)."""
     return draw(databases(allow_neg=False, allow_ic=False,
                           max_clauses=max_clauses))
+
+
+@pytest.fixture
+def cold_pool():
+    """Run the test with the process solver pool at ``maxsize`` 0, so
+    every oracle call builds a cold solver and parks nothing; restores
+    :data:`~repro.sat.incremental.DEFAULT_POOL_MAXSIZE` afterwards."""
+    configure_solver_pool(0)
+    try:
+        yield
+    finally:
+        configure_solver_pool(DEFAULT_POOL_MAXSIZE)
 
 
 @pytest.fixture

@@ -95,7 +95,7 @@ def test_hunt_planner_cost_paths_zero_divergences():
     deductive and stratified bases with boundary mutants over-sampled,
     exercising the cost model's fast-path/fallback edges (hcf-founded
     single-query literals, hcf-closure memoization, stratified-perfect)
-    through the full six-engine differential stack."""
+    through the full four-engine differential stack."""
     report = hunt(
         HuntConfig(
             seed=1816,  # Truszczyński trichotomy arXiv 1007.2816
@@ -113,7 +113,7 @@ def test_ground_truth_cap_is_not_a_divergence():
     """PWS split enumeration refuses instances above MAX_SPLITS with
     GroundTruthCapError; the hunter must treat that as "ground truth
     unavailable" and not flag the polynomial-check engines (which agree
-    with each other) as a six-engine disagreement."""
+    with each other) as a four-engine disagreement."""
     from repro.errors import GroundTruthCapError
     from repro.adversary.hunter import find_engine_disagreement
     from repro.logic.parser import parse_formula

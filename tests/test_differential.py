@@ -1,18 +1,18 @@
-"""Differential test harness: planned vs. cached vs. oracle vs. fresh
-vs. brute, plus the opposite-representation kernel leg.
+"""Differential test harness: planned vs. cached vs. oracle vs. brute.
 
 Seeded random databases from :mod:`repro.workloads.random_db`, one batch
 per syntactic regime, are cross-checked across every registered paper
 semantics applicable to that regime: the memoizing ``cached`` engine,
-the pooled incremental ``oracle`` decision procedures, the identical
-procedures on throwaway ``fresh`` solvers, the fragment-dispatching
-``planned`` engine (Horn unit propagation / head-cycle-free foundedness
-fast paths where the profile allows, oracle fallback elsewhere), the
-``kernel`` leg (the brute enumerator re-run on the opposite
-interpretation representation — bitset masks vs. pure frozensets), and
-the ``brute`` ground-truth enumerator must agree on ``model_set``,
-``infers`` (on a seeded random query formula), ``infers_literal`` (both
-polarities) and ``has_model``.
+the pooled incremental ``oracle`` decision procedures, the
+fragment-dispatching ``planned`` engine (Horn unit propagation /
+head-cycle-free foundedness fast paths where the profile allows, oracle
+fallback elsewhere), and the ``brute`` ground-truth enumerator must
+agree on ``model_set``, ``infers`` (on a seeded random query formula),
+``infers_literal`` (both polarities) and ``has_model``.  Every database
+is checked a second time with the oracle engine on a solver pool of
+``maxsize`` 0 (the ``cold_pool`` fixture), which pins the solver-reuse
+layer (selector retraction, clause reclamation, recycling) to cold
+solvers on the whole corpus.
 
 The generators are deterministic given a seed (see
 ``test_random_db_determinism.py``), so any disagreement reproduces
@@ -27,7 +27,7 @@ import pytest
 
 from repro.adversary import DEFAULT_CORPUS_PATH, applicable_semantics
 from repro.adversary.corpus import corpus_databases
-from repro.engine import differential_stack
+from repro.engine import DIFFERENTIAL_ENGINES, differential_stack
 from repro.engine.cache import ENGINE_CACHE
 from repro.logic.atoms import Literal
 from repro.semantics import get_semantics
@@ -80,25 +80,16 @@ def build_db(regime: str, seed: int):
     raise ValueError(regime)
 
 
-def engines(name: str):
-    """(brute ground truth, pooled oracle, fresh-solver oracle,
-    memoizing cached, fragment-planned, opposite-kernel brute)."""
-    return differential_stack(name)
+def check_agreement(
+    db, names, query_seed: int = 0, engines=DIFFERENTIAL_ENGINES
+) -> None:
+    """Assert that every engine agrees with brute on every decision
+    problem.
 
-
-def check_agreement(db, names, query_seed: int = 0) -> None:
-    """Assert six-engine agreement on every decision problem.
-
-    ``oracle`` runs the decision procedures on pooled incremental
-    solvers, ``fresh`` runs the identical procedures on throwaway
-    per-query solvers — their agreement pins the solver-reuse layer
-    (selector retraction, clause reclamation, recycling) to the
-    fresh-solver ground truth on every database of the corpus.
-    ``planned`` additionally pins the fragment fast paths (Horn least
-    model, head-cycle-free foundedness) to the same ground truth on
-    every database whose profile triggers them, and ``kernel``
-    re-answers every probe on the opposite interpretation
-    representation so the bitset and pure code paths stay equivalent.
+    ``engines`` lists the stack, brute first (default: the full
+    differential stack).  ``planned`` pins the fragment fast paths (Horn
+    least model, head-cycle-free foundedness) to the brute ground truth
+    on every database whose profile triggers them.
     """
     query = random_query_formula(
         sorted(db.vocabulary), depth=2, seed=query_seed
@@ -106,7 +97,7 @@ def check_agreement(db, names, query_seed: int = 0) -> None:
     some_atom = sorted(db.vocabulary)[0]
     literals = [Literal.pos(some_atom), Literal.neg(some_atom)]
     for name in names:
-        brute, *others = engines(name)
+        brute, *others = differential_stack(name, engines)
         expected_models = brute.model_set(db)
         expected_infers = brute.infers(db, query)
         expected_literal = {
@@ -159,6 +150,21 @@ def test_differential_normal(seed):
     check_agreement(db, SEMANTICS_FOR["normal"], query_seed=seed)
 
 
+#: The oracle engine against brute, run under ``cold_pool``.
+COLD_ENGINES = ("brute", "oracle")
+
+
+@pytest.mark.parametrize(
+    "regime,seed",
+    [(regime, seed) for regime in COUNTS for seed in range(COUNTS[regime])],
+)
+def test_differential_cold_pool(regime, seed, cold_pool):
+    db = build_db(regime, seed)
+    check_agreement(
+        db, SEMANTICS_FOR[regime], query_seed=seed, engines=COLD_ENGINES
+    )
+
+
 # ----------------------------------------------------------------------
 # The adversarial regression corpus: every witness the hunter ever
 # minimized and folded in (tests/data/adversarial_corpus.json) is
@@ -172,14 +178,27 @@ _CORPUS_PATH = os.path.join(
 _CORPUS = corpus_databases(_CORPUS_PATH)
 
 
+def _corpus_semantics(db):
+    names = [n for n in applicable_semantics(db) if n != "pdsm"]
+    if len(db.vocabulary) <= 5:
+        names = list(applicable_semantics(db))
+    return names
+
+
 @pytest.mark.parametrize(
     "db", [c[1] for c in _CORPUS], ids=[c[0] for c in _CORPUS]
 )
 def test_differential_adversarial_corpus(db):
-    names = [n for n in applicable_semantics(db) if n != "pdsm"]
-    if len(db.vocabulary) <= 5:
-        names = list(applicable_semantics(db))
-    check_agreement(db, names, query_seed=0)
+    check_agreement(db, _corpus_semantics(db), query_seed=0)
+
+
+@pytest.mark.parametrize(
+    "db", [c[1] for c in _CORPUS], ids=[c[0] for c in _CORPUS]
+)
+def test_differential_adversarial_corpus_cold_pool(db, cold_pool):
+    check_agreement(
+        db, _corpus_semantics(db), query_seed=0, engines=COLD_ENGINES
+    )
 
 
 def test_corpus_default_path_matches():
@@ -298,9 +317,7 @@ def test_cached_engine_actually_hits():
     assert ENGINE_CACHE.stats()["hits"] == before + 1
 
 
-def test_partitioned_semantics_differential():
-    """CCWA/ECWA with explicit non-trivial (P;Z) partitions also agree
-    across all three engines (the partition is part of the cache key)."""
+def _check_partitioned(engines) -> None:
     for seed in range(10):
         db = random_positive_db(4, 4, seed=seed)
         atoms = sorted(db.vocabulary)
@@ -310,7 +327,19 @@ def test_partitioned_semantics_differential():
             brute = get_semantics(name, engine="brute", p=p, z=z)
             expected_models = brute.model_set(db)
             expected = brute.infers(db, query)
-            for engine in ("oracle", "fresh", "cached"):
+            for engine in engines:
                 other = get_semantics(name, engine=engine, p=p, z=z)
                 assert other.model_set(db) == expected_models, engine
                 assert other.infers(db, query) == expected, engine
+
+
+def test_partitioned_semantics_differential():
+    """CCWA/ECWA with explicit non-trivial (P;Z) partitions also agree
+    with brute on the oracle and cached engines (the partition is part
+    of the cache key)."""
+    _check_partitioned(("oracle", "cached"))
+
+
+def test_partitioned_semantics_differential_cold_pool(cold_pool):
+    """The same partitions, oracle engine on a pool of ``maxsize`` 0."""
+    _check_partitioned(("oracle",))

@@ -16,10 +16,12 @@ from repro.logic.atoms import Literal
 from repro.logic.parser import parse_database, parse_formula
 from repro.sat.cdcl import CdclSolver
 from repro.sat.incremental import (
+    DEFAULT_POOL_MAXSIZE,
     SOLVER_POOL,
     IncrementalSatSolver,
     acquire_solver,
     clear_solver_pool,
+    configure_solver_pool,
     pooled_scope,
     release_solver,
 )
@@ -194,12 +196,28 @@ class TestSolverPool:
         release_solver(key1, s1)
         release_solver(key2, s2)
 
-    def test_reuse_false_never_pools(self):
-        with pooled_scope(DB, reuse=False) as scope:
-            assert scope.solve()
+    def test_maxsize_zero_never_pools(self, cold_pool):
+        """A pool with ``maxsize`` 0 builds a solver on every acquire and
+        discards it on every release, answers like the warm pool, and
+        still charges each checkout's CDCL work to the query."""
+        for _ in range(3):
+            key, solver = acquire_solver(DB, context=("db",))
+            release_solver(key, solver)
         stats = SOLVER_POOL.stats()
+        assert stats["solvers_created"] == stats["solvers_discarded"] == 3
         assert stats["solvers_pooled"] == 0
         assert stats["solver_reuses"] == 0
+        cold = DatabaseSession(DB, default_semantics="egcwa")
+        answers = [cold.ask(q) for q in ("~a | ~b", "c", "a")]
+        assert SOLVER_POOL.stats()["solvers_pooled"] == 0
+        for answer in answers:
+            assert answer.solver_stats["solve_calls"] > 0
+        configure_solver_pool(DEFAULT_POOL_MAXSIZE)
+        warm = DatabaseSession(DB, default_semantics="egcwa")
+        assert [warm.ask(q).verdict for q in ("~a | ~b", "c", "a")] == [
+            answer.verdict for answer in answers
+        ]
+        assert SOLVER_POOL.stats()["solvers_pooled"] > 0
 
     def test_structurally_equal_databases_share_solvers(self):
         other = parse_database("a | b. c :- a. c :- b.")

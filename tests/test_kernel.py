@@ -1,6 +1,6 @@
-"""Bitset kernel invariants: packing, equivalence, sweeps, fast paths.
+"""Bitset kernel invariants: packing, reference agreement, sweeps, fast paths.
 
-Five families pin the PR 8 kernel layer to the historical pure path:
+Four families pin the bitset kernel to the paper's definitions:
 
 * **AtomTable round-trip** — hypothesis-quantified pack/unpack bijection
   and the mask-rank = enumeration-rank identity the whole kernel rests
@@ -8,18 +8,17 @@ Five families pin the PR 8 kernel layer to the historical pure path:
 * **mask vs. frozenset primitives** — clause satisfaction, model
   checking and proper-subset tests agree with the ``Clause`` /
   ``Interpretation`` originals on random databases;
-* **bitset vs. pure enumeration** — ``all_models`` /
-  ``minimal_models_brute`` / ``pz_minimal_models_brute`` produce
-  *identical sequences* (order included) and identical node accounting
-  under :func:`force_kernel` either way;
-* **batched sweeps** — ``free_for_negation_sweep`` matches the brute
-  ``ff(DB)`` closure with exactly |V| Σ₂ᵖ dispatches, and the PZ sweep
-  matches brute CCWA free atoms;
-* **supported fast path & escape hatch** — the tight-stratified
-  ``supported`` plan dispatches to ``stratified-perfect`` and agrees
-  with brute, non-tight databases stay on ``default``, and
-  ``REPRO_KERNEL=pure`` flips :func:`kernel_enabled` without changing
-  any answer.
+* **kernel vs. reference enumeration** — ``all_models`` /
+  ``minimal_models_brute`` / ``pz_minimal_models_brute`` /
+  ``prioritized_minimal_models_brute`` produce the *identical sequences*
+  (order included) that the definition-literal reference
+  (``reference_models.py``) builds, on seeded and hypothesis-drawn
+  databases, and ``all_models`` ticks exactly ``2^|V|`` nodes;
+* **batched sweeps and the supported fast path** —
+  ``free_for_negation_sweep`` matches the brute ``ff(DB)`` closure with
+  exactly |V| Σ₂ᵖ dispatches, the PZ sweep matches brute CCWA free
+  atoms, and the tight-stratified ``supported`` plan dispatches to
+  ``stratified-perfect`` and agrees with brute.
 """
 
 from __future__ import annotations
@@ -29,16 +28,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.cost import DEFAULT_PROCEDURE, STRATIFIED_PROCEDURE
-from repro.engine import DIFFERENTIAL_ENGINES, differential_stack
 from repro.engine.cache import ENGINE_CACHE
 from repro.kernel import (
     AtomTable,
     PackedDatabase,
     atom_table_for,
     clause_satisfied,
-    force_kernel,
     is_proper_submask,
-    kernel_enabled,
     packed_database_for,
     product_or_masks,
     subsets_in_table_order,
@@ -50,6 +46,7 @@ from repro.logic.parser import parse_database
 from repro.models.enumeration import (
     all_models,
     minimal_models_brute,
+    prioritized_minimal_models_brute,
     pz_minimal_models_brute,
 )
 from repro.obs.accounting import observe
@@ -57,6 +54,7 @@ from repro.sat.minimal import MinimalModelSolver, PZMinimalModelSolver
 from repro.semantics import get_semantics
 from repro.semantics.gcwa import free_for_negation_brute
 
+import reference_models as reference
 from conftest import ATOMS, databases, positive_databases, random_small_db
 
 #: Random subsets of the shared atom pool.
@@ -78,7 +76,7 @@ def test_atom_table_roundtrip(vocabulary, subset):
 @given(atom_sets)
 def test_mask_value_is_enumeration_rank(vocabulary):
     """Packed-mask numeric order IS ``all_interpretations`` order —
-    the identity that makes bitset and pure output sequences equal."""
+    the identity that makes kernel and reference sequences equal."""
     table = AtomTable(vocabulary)
     ranks = [
         table.pack(interp)
@@ -142,21 +140,15 @@ def test_memoized_accessors_share_one_table():
 
 
 # ----------------------------------------------------------------------
-# Bitset vs. pure enumeration: identical sequences, identical accounting
+# Kernel vs. the definition-literal reference: identical sequences
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(12))
 def test_enumerators_agree_across_kernels(seed):
     db = random_small_db(seed)
-    runs = {}
-    for mode in ("bitset", "pure"):
-        ENGINE_CACHE.clear()
-        with force_kernel(mode), observe() as window:
-            runs[mode] = (
-                list(all_models(db)),
-                list(minimal_models_brute(db)),
-                window.as_dict(),
-            )
-    assert runs["bitset"] == runs["pure"], seed
+    assert all_models(db) == reference.all_models(db), seed
+    expected = reference.minimal_models(db)
+    assert minimal_models_brute(db) == expected, seed
+    assert minimal_models_brute(db, decompose=False) == expected, seed
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -164,15 +156,50 @@ def test_pz_enumerator_agrees_across_kernels(seed):
     db = random_small_db(seed, allow_neg=False, allow_ic=False)
     atoms = sorted(db.vocabulary)
     p, z = atoms[:2], atoms[2:3]
-    runs = {}
-    for mode in ("bitset", "pure"):
-        ENGINE_CACHE.clear()
-        with force_kernel(mode), observe() as window:
-            runs[mode] = (
-                list(pz_minimal_models_brute(db, p, z)),
-                window.as_dict(),
-            )
-    assert runs["bitset"] == runs["pure"], seed
+    expected = reference.pz_minimal_models(db, p, z)
+    assert pz_minimal_models_brute(db, p, z) == expected, seed
+    assert pz_minimal_models_brute(db, p, z, decompose=False) == expected
+
+
+#: A random block per pool atom: 0 = P (priority level 1), 1 = priority
+#: level 2, 2 = Z, 3 = the fixed part Q.
+partitions = st.lists(st.sampled_from((0, 1, 2, 3)), min_size=5, max_size=5)
+
+
+@given(databases(max_clauses=4), partitions)
+def test_enumerators_match_reference_property(db, blocks):
+    """All four enumerators equal the reference sequences, order
+    included, on hypothesis-drawn databases and partitions."""
+    part = {
+        b: [a for a, k in zip(ATOMS, blocks) if k == b] for b in range(3)
+    }
+    p, level2, z = part[0], part[1], part[2]
+    assert all_models(db) == reference.all_models(db)
+    assert minimal_models_brute(db) == reference.minimal_models(db)
+    assert pz_minimal_models_brute(db, p, z) == (
+        reference.pz_minimal_models(db, p, z)
+    )
+    levels = [p, level2]
+    assert prioritized_minimal_models_brute(db, levels, z) == (
+        reference.lex_minimal_models(db, levels, z)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_all_models_ticks_one_node_per_interpretation(seed):
+    db = random_small_db(seed, atoms=3 + seed % 3)
+    with observe() as window:
+        all_models(db)
+    assert window.nodes == 2 ** len(db.vocabulary)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_minimality_pass_ticks_one_node_per_model(seed):
+    db = random_small_db(seed)
+    with observe() as window:
+        minimal_models_brute(db, decompose=False)
+    expected = 2 ** len(db.vocabulary) + len(reference.all_models(db))
+    assert window.nodes == expected
 
 
 # ----------------------------------------------------------------------
@@ -234,39 +261,6 @@ def test_pz_sweep_matches_brute_free_atoms(seed):
 
 
 # ----------------------------------------------------------------------
-# Differential kernel leg
-# ----------------------------------------------------------------------
-def test_differential_stack_has_kernel_leg():
-    assert DIFFERENTIAL_ENGINES[-1] == "kernel"
-    stack = differential_stack("gcwa")
-    assert len(stack) == len(DIFFERENTIAL_ENGINES)
-    assert stack[-1].engine == "kernel"
-    db = parse_database("a | b. c :- a.")
-    assert stack[-1].model_set(db) == stack[0].model_set(db)
-
-
-def test_kernel_leg_runs_opposite_representation():
-    leg = differential_stack("egcwa")[-1]
-    db = parse_database("a | b.")
-    seen = []
-    original = leg._inner.model_set
-
-    def spying(inner_db):
-        seen.append(kernel_enabled())
-        return original(inner_db)
-
-    leg._inner.model_set = spying
-    try:
-        with force_kernel("bitset"):
-            leg.model_set(db)
-        with force_kernel("pure"):
-            leg.model_set(db)
-    finally:
-        leg._inner.model_set = original
-    assert seen == [False, True]
-
-
-# ----------------------------------------------------------------------
 # Supported-semantics fast path
 # ----------------------------------------------------------------------
 TIGHT_DBS = (
@@ -311,39 +305,3 @@ def test_supported_fast_path_excludes_self_loop():
     brute = get_semantics("supported", engine="brute")
     assert planned.model_set(db) == brute.model_set(db)
     assert len(brute.model_set(db)) == 2
-
-
-# ----------------------------------------------------------------------
-# Escape hatch
-# ----------------------------------------------------------------------
-def test_repro_kernel_env_escape_hatch(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "pure")
-    assert not kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "PURE")
-    assert not kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "bitset")
-    assert kernel_enabled()
-    # force_kernel wins over the environment in either direction.
-    with force_kernel("pure"):
-        assert not kernel_enabled()
-    monkeypatch.setenv("REPRO_KERNEL", "pure")
-    with force_kernel("bitset"):
-        assert kernel_enabled()
-
-
-def test_pure_mode_answers_are_unchanged(monkeypatch):
-    db = parse_database("a | b. c :- a. d :- b, not c.")
-    bitset_models = get_semantics("gcwa", engine="brute").model_set(db)
-    monkeypatch.setenv("REPRO_KERNEL", "pure")
-    ENGINE_CACHE.clear()
-    assert get_semantics("gcwa", engine="brute").model_set(db) == (
-        bitset_models
-    )
-
-
-def test_force_kernel_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        with force_kernel("simd"):
-            pass

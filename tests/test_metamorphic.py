@@ -8,7 +8,7 @@ contract's enforcement:
 
 * hypothesis-driven preservation properties, one test per mutator, on
   the cheap two-engine pair (brute ground truth + fragment-planned) by
-  default and across **all five** differential engines in the ``slow``
+  default and across **all four** differential engines in the ``slow``
   variants;
 * intended-fragment tests for every boundary mutator: the mutant must
   land *just across* the documented lattice edge per
@@ -185,7 +185,7 @@ def test_body_split_preserves_answers(db, seed):
 
 
 # ----------------------------------------------------------------------
-# Slow variants: the same contracts across all five engines
+# Slow variants: the same contracts across all four engines
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.parametrize(

@@ -188,28 +188,55 @@ class TestPrioritizedMinimal:
         assert fast == slow
 
 
+def _dpll_minimal_models(db):
+    """``MM(DB)`` by the reference DPLL alone: shrink each model the
+    solver finds to a minimal one, then block its supersets."""
+    from repro.logic.cnf import database_to_cnf
+    from repro.sat.dpll import solve_dpll
+
+    atoms = sorted(db.vocabulary)
+    number = {atom: i + 1 for i, atom in enumerate(atoms)}
+    theory = [
+        [number[l.atom] if l.positive else -number[l.atom] for l in clause]
+        for clause in database_to_cnf(db)
+    ]
+    found, blocks = [], []
+    while True:
+        model = solve_dpll(theory + blocks)
+        if model is None:
+            return found
+        current = {a for a in atoms if number[a] in model}
+        while current:  # shrink: a model strictly below `current`
+            below = solve_dpll(
+                theory
+                + [[-number[a]] for a in atoms if a not in current]
+                + [[-number[a] for a in sorted(current)]]
+            )
+            if below is None:
+                break
+            current = {a for a in atoms if number[a] in below}
+        found.append(frozenset(current))
+        if not current:
+            return found
+        blocks.append([-number[a] for a in sorted(current)])
+
+
 class TestDpllEngineParity:
-    """The reference DPLL engine plugs in below the minimal-model
-    machinery and must agree with CDCL end to end."""
+    """Minimal models computed by the reference DPLL alone agree with
+    the CDCL-backed minimal-model machinery end to end."""
 
     def test_minimal_models_same_under_both_engines(self, simple_db):
         cdcl = {frozenset(m) for m in minimal_models(simple_db)}
-        dpll = {
-            frozenset(m)
-            for m in MinimalModelSolver(
-                simple_db, engine="dpll"
-            ).iter_minimal_models()
-        }
-        assert cdcl == dpll
+        assert cdcl == set(_dpll_minimal_models(simple_db))
 
     def test_entailment_same_under_both_engines(self, simple_db):
         formula = parse_formula("~a | ~b")
-        assert MinimalModelSolver(simple_db, engine="dpll").entails(
-            formula
-        ) == MinimalModelSolver(simple_db, engine="cdcl").entails(formula)
+        dpll = all(
+            formula.evaluate(m) for m in _dpll_minimal_models(simple_db)
+        )
+        assert MinimalModelSolver(simple_db).entails(formula) == dpll
 
     @given(databases(max_clauses=3))
     def test_random_parity(self, db):
-        cdcl = {frozenset(m) for m in minimal_models(db, engine="cdcl")}
-        dpll = {frozenset(m) for m in minimal_models(db, engine="dpll")}
-        assert cdcl == dpll
+        cdcl = {frozenset(m) for m in minimal_models(db)}
+        assert cdcl == set(_dpll_minimal_models(db))

@@ -1,16 +1,22 @@
-"""Tests for repro.models.enumeration (the brute-force ground truth)."""
+"""Tests for repro.models.enumeration (the brute-force ground truth).
+
+The preference orders ``pz_preferred`` / ``lex_preferred`` live in the
+definition-literal test reference (``reference_models.py``), which
+``test_kernel.py`` checks the enumerators against; their own unit tests
+stay here beside the enumerators that realize them.
+"""
 
 from repro.logic.interpretation import Interpretation
 from repro.logic.parser import parse_database, parse_formula
 from repro.models.enumeration import (
     all_models,
-    lex_preferred,
     minimal_models_brute,
     models_entail_brute,
     pz_minimal_models_brute,
-    pz_preferred,
     prioritized_minimal_models_brute,
 )
+
+from reference_models import lex_preferred, pz_preferred
 
 
 class TestAllModels:

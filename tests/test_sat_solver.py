@@ -9,6 +9,7 @@ from repro.errors import SolverError
 from repro.logic.atoms import Literal
 from repro.logic.formula import And, Not, Or, Var
 from repro.logic.parser import parse_database, parse_formula
+from repro.sat.dpll import solve_dpll
 from repro.sat.enumerate import count_models, iter_models
 from repro.sat.solver import (
     SatSolver,
@@ -62,16 +63,15 @@ class TestSatSolverFacade:
         assert "z" not in solver.model(restrict_to=db.vocabulary)
 
     def test_dpll_engine_agrees(self):
-        for engine in ("cdcl", "dpll"):
-            solver = SatSolver(engine=engine)
-            solver.add_clause([Literal("a"), Literal("b")])
-            solver.add_unit(Literal("a", False))
-            assert solver.solve()
-            assert solver.model() == {"b"}
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SolverError):
-            SatSolver(engine="nope")
+        """The facade's CDCL answer equals the reference DPLL's on the
+        same integer clauses."""
+        solver = SatSolver()
+        solver.add_clause([Literal("a"), Literal("b")])
+        solver.add_unit(Literal("a", False))
+        assert solver.solve()
+        assert solver.model() == {"b"}
+        a, b = solver.variables.number("a"), solver.variables.number("b")
+        assert solve_dpll([[a, b], [-a]]) == {b}
 
     @given(formulas())
     def test_add_formula_positive_and_negative(self, formula):
@@ -112,9 +112,12 @@ class TestOneShotHelpers:
         assert not entails_classically(simple_db, parse_formula("a"))
 
     def test_is_satisfiable_both_engines(self):
+        """CDCL (``is_satisfiable``) and the reference DPLL agree."""
         cnf = [frozenset({Literal("a")}), frozenset({Literal("a", False)})]
-        assert not is_satisfiable(cnf, engine="cdcl")
-        assert not is_satisfiable(cnf, engine="dpll")
+        assert not is_satisfiable(cnf)
+        assert solve_dpll([[1], [-1]]) is None
+        assert is_satisfiable(cnf[:1])
+        assert solve_dpll([[1]]) == {1}
 
 
 class TestEnumeration:

@@ -5,7 +5,10 @@ import pytest
 from repro import has_model, infer, infers_literal, model_set, parse_database, parse_formula
 from repro.errors import ReproError
 from repro.logic.atoms import Literal
-from repro.semantics import SEMANTICS, get_semantics, resolve_name
+from repro.engine import DIFFERENTIAL_ENGINES
+from repro.semantics import ENGINES, SEMANTICS, get_semantics, resolve_name
+from repro.serve import QueryService
+from repro.session import DatabaseSession
 from repro.semantics.base import literal_formula
 
 
@@ -45,6 +48,22 @@ class TestRegistry:
     def test_invalid_engine_rejected(self):
         with pytest.raises(ReproError):
             get_semantics("egcwa", engine="quantum")
+
+    def test_engine_lists(self):
+        assert ENGINES == ("oracle", "brute", "cached", "resilient", "planned")
+        assert DIFFERENTIAL_ENGINES == ("brute", "oracle", "cached", "planned")
+
+    @pytest.mark.parametrize("engine", ["fresh", "kernel", "orcale"])
+    def test_constructors_reject_unknown_engines(self, engine):
+        """A bad engine name fails at construction, naming the valid
+        ones — not at the first query, blamed on the client."""
+        db = parse_database("a | b.")
+        for build in (
+            lambda: DatabaseSession(db, engine=engine),
+            lambda: QueryService(engine=engine),
+        ):
+            with pytest.raises(ReproError, match="oracle, brute, cached"):
+                build()
 
 
 class TestConvenienceApi:
