@@ -22,14 +22,15 @@ criterion).  The planner is exposed as
 the query (a Horn-planned query that issues even one NP call is a
 certificate violation).
 
-**Codebase analysis** (:mod:`repro.analysis.lint`): an AST linter
-enforcing the oracle-call discipline statically that the certifier
-checks dynamically — no ad-hoc ``SatSolver()`` outside the sanctioned
-modules, every Σ₂ᵖ primitive realization decorated for accounting, no
-Σ₂ᵖ machinery referenced from coNP-classified semantics modules,
-deadline checks in solver loops, every registered semantics tied to a
-Table 1/2 row.  Run it as ``python -m repro.analysis.lint`` or
-``repro-ddb lint``.
+**Codebase analysis** (:mod:`repro.analysis.static`): one static
+analyzer over one call graph of the package, enforcing statically the
+oracle-call discipline the certifier checks dynamically — no ad-hoc
+``SatSolver()`` outside the sanctioned modules, every Σ₂ᵖ primitive
+realization decorated for accounting, no Σ₂ᵖ machinery referenced or
+reached from coNP-classified semantics modules, deadline checks in
+solver loops, every registered semantics tied to a Table 1/2 row — plus
+lock discipline over the shared singletons.  Run it as ``repro-ddb
+check`` (alias ``repro-ddb lint``).
 """
 
 from .cost import COST_MODEL, CostEstimate, CostModel

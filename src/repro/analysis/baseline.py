@@ -1,6 +1,6 @@
 """Finding baselines and changed-file restriction for the analyzers.
 
-Shared by ``repro-ddb lint`` and ``repro-ddb check``: CI gates on *new*
+Used by ``repro-ddb check`` (alias ``lint``): CI gates on *new*
 findings — fingerprints not accounted for by the checked-in baseline —
 so a legacy violation can be grandfathered without masking fresh ones,
 and ``--diff`` restricts a local run to files changed relative to git
@@ -25,7 +25,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .lint import Finding
+from .static.callgraph import Finding
 
 #: Path anchors a finding path is normalized to start at, so baselines
 #: recorded on one checkout match runs from another.

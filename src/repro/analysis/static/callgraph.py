@@ -1,10 +1,10 @@
 """Import-aware call graph over the ``repro`` package AST.
 
-The whole-program checker (:mod:`repro.analysis.static.checker`) needs
-one structure both passes can share: *who can call whom*, resolved as
+The static analyzer (:mod:`repro.analysis.static.checker`) needs one
+structure every rule can share: *who can call whom*, resolved as
 precisely as plain-AST analysis allows and **conservative everywhere
-else**.  The builder parses every module under a package root (plus any
-extra files, e.g. the seeded injection fixtures), records
+else**.  The builder parses every module under a package root once
+(plus any extra files, e.g. the seeded injection fixtures), records
 
 * module import tables (``import a.b as c`` / ``from ..x import y``,
   with relative imports resolved against the importing package),
@@ -24,11 +24,16 @@ extra files, e.g. the seeded injection fixtures), records
   class      ``Cls(...)`` / ``Cls.m(...)`` — constructor or method
   attr       ``obj.m(...)`` with an unresolvable receiver — matched
              *by method name* against every in-graph definition
-             (deliberate over-approximation; soundness over precision)
+             (deliberate over-approximation; soundness over precision);
+             ``getattr(obj, "m")(...)`` with a constant name is the
+             same site
   dynamic    ``getattr(x, n)`` / ``f()()`` — no edge; recorded as an
              RPR100 *warning* so conservatism is documented, never a
              silent miss
   ========== ========================================================
+
+A file that does not parse is left out of the graph and recorded as an
+RPR000 finding.
 
 Two edge attributes matter to the complexity pass:
 
@@ -50,9 +55,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-from ..lint import Finding
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Annotation marking an explicitly declared degraded-mode call edge.
 FALLBACK_MARK = "# static: fallback-edge"
@@ -60,6 +63,33 @@ FALLBACK_MARK = "# static: fallback-edge"
 #: Call-target kinds that resolve to a *specific* definition (used by
 #: rules that must avoid the ``attr`` name-matching over-approximation).
 RESOLVED_KINDS = frozenset({"direct", "self", "super", "class"})
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation (or RPR100 warning), pinned to a source
+    position."""
+
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    def render(self) -> str:
+        return (
+            f"{self.path}:{self.line}:{self.col}: "
+            f"{self.rule} {self.message}"
+        )
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "rule": self.rule,
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "message": self.message,
+        }
 
 
 @dataclass(frozen=True)
@@ -110,6 +140,8 @@ class ModuleInfo:
     tree: ast.Module
     lines: List[str]
     imports: Dict[str, str] = field(default_factory=dict)
+    #: joined through a directory sweep (outside the convention rules)
+    swept: bool = False
 
 
 def _decorator_name(dec: ast.AST) -> str:
@@ -131,6 +163,21 @@ def _dotted(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
+    return None
+
+
+def _constant_getattr(node: ast.AST) -> Optional[Tuple[ast.expr, str]]:
+    """``(x, "name")`` for ``getattr(x, "name"[, default])``, else
+    ``None``."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    ):
+        return node.args[0], node.args[1].value
     return None
 
 
@@ -170,6 +217,8 @@ class CallGraph:
         self.singletons: Dict[str, str] = {}
         #: dynamic-dispatch conservatism warnings (rule RPR100).
         self.warnings: List[Finding] = []
+        #: files that failed to parse (rule RPR000).
+        self.errors: List[Finding] = []
 
     # -- construction ---------------------------------------------------
 
@@ -179,10 +228,17 @@ class CallGraph:
         package_root: Optional[Path] = None,
         package_name: str = "repro",
         extra_paths: Sequence[Path] = (),
+        swept_paths: Sequence[Path] = (),
     ) -> "CallGraph":
-        """Parse a package tree (plus extra files) into a graph."""
+        """Parse a package tree plus extra files into a graph.
+
+        ``swept_paths`` are files a directory sweep found; their modules
+        are marked :attr:`ModuleInfo.swept`.  An extra file under the
+        package root is already in the graph and adds nothing.
+        """
         graph = cls()
-        files: List[Tuple[str, Path]] = []
+        files: List[Tuple[str, Path, bool]] = []
+        root: Optional[Path] = None
         if package_root is not None:
             root = Path(package_root).resolve()
             for path in sorted(root.rglob("*.py")):
@@ -190,31 +246,35 @@ class CallGraph:
                 parts = [package_name] + list(rel.parts)
                 if parts[-1] == "__init__":
                     parts.pop()
-                files.append((".".join(parts), path))
-        for path in extra_paths:
-            path = Path(path).resolve()
-            if path.is_dir():
-                for sub in sorted(path.rglob("*.py")):
-                    files.append((sub.stem, sub))
-            else:
-                files.append((path.stem, path))
-        for name, path in files:
-            graph._add_module(name, path)
+                files.append((".".join(parts), path, False))
+        for swept, paths in ((False, extra_paths), (True, swept_paths)):
+            for path in map(Path, paths):
+                path = path.resolve()
+                if root is None or root not in path.parents:
+                    files.append((path.stem, path, swept))
+        for name, path, swept in files:
+            graph._add_module(name, path, swept)
         for module in graph.modules.values():
             graph._collect_defs(module)
         for module in graph.modules.values():
             graph._collect_calls(module)
         return graph
 
-    def _add_module(self, name: str, path: Path) -> None:
+    def _add_module(self, name: str, path: Path, swept: bool) -> None:
         source = path.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            return  # the linter reports RPR000 for these
+        except SyntaxError as error:
+            self.errors.append(
+                Finding(
+                    "RPR000", str(path), error.lineno or 1,
+                    error.offset or 0, f"syntax error: {error.msg}",
+                )
+            )
+            return
         info = ModuleInfo(
             name=name, path=str(path), tree=tree,
-            lines=source.splitlines(),
+            lines=source.splitlines(), swept=swept,
         )
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -295,7 +355,7 @@ class CallGraph:
                         if text is None:
                             continue
                         info.bases.append(
-                            self._qualify(module, text) or text
+                            self.qualify(module, text) or text
                         )
                     self.classes[qualname] = info
                     visit(node.body, qualname, qualname)
@@ -321,13 +381,13 @@ class CallGraph:
             text = _dotted(node.value.func)
             if text is None:
                 continue
-            target_cls = self._qualify(module, text)
+            target_cls = self.qualify(module, text)
             if target_cls in self.classes:
                 self.singletons[
                     f"{module.name}.{node.targets[0].id}"
                 ] = target_cls
 
-    def _qualify(self, module: ModuleInfo, dotted: str) -> Optional[str]:
+    def qualify(self, module: ModuleInfo, dotted: str) -> Optional[str]:
         """Resolve a dotted reference through the import table and the
         module's own top-level definitions."""
         head, _, tail = dotted.partition(".")
@@ -397,14 +457,19 @@ class CallGraph:
             return
         fallback = self._has_fallback_mark(module, node.lineno)
         func = node.func
+        read = _constant_getattr(func)
+        if read is not None:  # getattr(x, "m")(...) calls x.m(...)
+            func = ast.Attribute(value=read[0], attr=read[1])
         site = None
         if isinstance(func, ast.Name):
             name = func.id
             if name == "getattr":
-                if not fallback:  # a declared edge needs no warning
+                # A constant name reads an attribute, and a declared
+                # edge needs no warning.
+                if _constant_getattr(node) is None and not fallback:
                     self._warn_dynamic(fn, node, "getattr(...) dispatch")
                 return
-            target = local_defs.get(name) or self._qualify(module, name)
+            target = local_defs.get(name) or self.qualify(module, name)
             if target is None:
                 return  # builtin / external — no edge
             kind = "class" if target in self.classes else "direct"
@@ -431,7 +496,7 @@ class CallGraph:
             else:
                 dotted = _dotted(func)
                 target = (
-                    self._qualify(module, dotted) if dotted else None
+                    self.qualify(module, dotted) if dotted else None
                 )
                 if target is not None and (
                     target in self.functions or target in self.classes
@@ -612,7 +677,3 @@ class CallGraph:
             hops.append(f"{current} ({Path(fn.path).name}:{fn.lineno})")
             current = caller
         return list(reversed(hops))
-
-
-def iter_function_calls(fn: FunctionNode) -> Iterable[CallSite]:
-    return fn.calls

@@ -1,40 +1,38 @@
-"""Driver for ``repro-ddb check`` — the whole-program static certifier.
+"""Driver for ``repro-ddb check`` (alias ``lint``) — the one static
+analyzer.
 
 Builds one :class:`~repro.analysis.static.callgraph.CallGraph` over the
 installed ``repro`` package (plus any extra paths, e.g. ``tests/`` for
-the nightly sweep or a seeded injection fixture), runs both passes —
-complexity reachability (:mod:`.complexity`, rules RPR101–RPR103) and
-lock discipline (:mod:`.races`, rules RPR201–RPR204) — and reports
-through the same Finding/waiver/baseline machinery as the linter.
+the nightly sweep or a seeded injection fixture) and runs every rule
+over it: the convention rules (:mod:`.conventions`, RPR001–RPR006),
+complexity reachability (:mod:`.complexity`, RPR101–RPR103) and lock
+discipline (:mod:`.races`, RPR201–RPR204).  A file that does not parse
+is an RPR000 finding.
 
-Waivers use their own mark so a reviewer can distinguish a local
-convention waiver from a whole-program one::
+A known-good finding is waived inline, on the flagged line or the line
+above it, with the rule ids and an optional rationale after ``--``::
 
-    self._hits += 1  # static: ok RPR202 -- init-only, pre-publication
+    abstraction = SatSolver()  # lint: ok RPR001 -- bare CNF, no db
 
-(the linter's ``# lint: ok`` mark is honored too).  Dynamic-dispatch
-conservatism is reported as RPR100 *warnings* — visible in the JSON
-artifact, never gating.
-
-Run as ``python -m repro.analysis.static.checker [paths...]`` or
-``repro-ddb check``; exit status 1 on any new (non-baselined) finding.
+Dynamic-dispatch conservatism is reported as RPR100 *warnings* —
+visible in the JSON artifact, never gating.  Exit status 1 on any new
+(non-baselined) finding.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from .. import baseline as baseline_mod
-from ..lint import Finding, _WAIVER_MARK, _is_waived, default_target
-from . import complexity, races
-from .callgraph import CallGraph
+from . import complexity, conventions, races
+from .callgraph import CallGraph, Finding
 
-#: Waiver mark for whole-program findings (``# static: ok RPR201 ...``).
-STATIC_WAIVER_MARK = "# static: ok"
+#: Inline waiver mark (``# lint: ok RPR001 RPR004 -- rationale``).
+WAIVER_MARK = "# lint: ok"
 
 #: Directory of seeded known-bad fixtures — skipped when a *directory*
 #: is swept (the nightly ``check tests/`` must stay clean) but analyzed
@@ -43,9 +41,14 @@ INJECTION_DIR = "static_injections"
 
 #: rule id -> one-line summary (the ``--rules`` catalog).
 RULES: Dict[str, str] = {
+    "RPR001": "no ad-hoc SatSolver()",
+    "RPR002": "Σ₂ᵖ primitive wrapped in accounting",
+    "RPR004": "solver loops check deadlines",
+    "RPR005": "semantics registered with a table claim",
+    "RPR006": "stratification through the cache",
     "RPR100": "dynamic dispatch not statically resolvable (warning)",
     "RPR101": "coNP entry point must not reach a Σ₂ᵖ primitive",
-    "RPR102": "coNP semantics modules free of Σ₂ᵖ reachability",
+    "RPR102": "coNP semantics modules free of Σ₂ᵖ machinery",
     "RPR103": "no statically nested Σ₂ᵖ dispatch",
     "RPR201": "attribute written both under and outside its guard lock",
     "RPR202": "no non-atomic read-modify-write on guarded/singleton state",
@@ -71,6 +74,11 @@ class Report:
         }
 
 
+def default_target() -> Path:
+    """The installed ``repro`` package tree (what CI gates on)."""
+    return Path(__file__).resolve().parents[2]
+
+
 def _expand_extra(paths: Sequence[Path]) -> List[Path]:
     expanded: List[Path] = []
     for path in paths:
@@ -86,11 +94,25 @@ def _expand_extra(paths: Sequence[Path]) -> List[Path]:
 
 
 def build_graph(extra_paths: Sequence[Path] = ()) -> CallGraph:
-    """The package-wide graph (plus extra files/directories)."""
+    """The package-wide graph plus extra files and directory sweeps."""
+    paths = [Path(path) for path in extra_paths]
     return CallGraph.build(
         package_root=default_target(),
         package_name="repro",
-        extra_paths=_expand_extra(extra_paths),
+        extra_paths=[path for path in paths if not path.is_dir()],
+        swept_paths=_expand_extra([path for path in paths if path.is_dir()]),
+    )
+
+
+def waived_rules(line: str) -> FrozenSet[str]:
+    """Rule ids waived by ``# lint: ok RPR001 RPR004 [-- rationale]``."""
+    index = line.find(WAIVER_MARK)
+    if index < 0:
+        return frozenset()
+    tail = line[index + len(WAIVER_MARK):].split("--", 1)[0]
+    return frozenset(
+        token for token in tail.replace(",", " ").split()
+        if token.startswith("RPR")
     )
 
 
@@ -102,12 +124,13 @@ def apply_waivers(
     }
     kept: List[Finding] = []
     for finding in findings:
-        lines = lines_by_path.get(finding.path)
-        if lines is not None and _is_waived(
-            finding, lines, marks=(STATIC_WAIVER_MARK, _WAIVER_MARK)
+        lines = lines_by_path.get(finding.path, [])
+        if not any(
+            finding.rule in waived_rules(lines[lineno - 1])
+            for lineno in (finding.line, finding.line - 1)
+            if 1 <= lineno <= len(lines)
         ):
-            continue
-        kept.append(finding)
+            kept.append(finding)
     return kept
 
 
@@ -115,12 +138,13 @@ def check(
     extra_paths: Sequence[Path] = (),
     graph: Optional[CallGraph] = None,
 ) -> Report:
-    """Run both passes; findings are waiver-filtered and sorted."""
+    """Run every rule; findings are waiver-filtered and sorted."""
     if graph is None:
         graph = build_graph(extra_paths)
-    findings = complexity.check_complexity(graph)
+    findings = conventions.check_conventions(graph)
+    findings += complexity.check_complexity(graph)
     findings += races.check_races(graph)
-    findings = apply_waivers(graph, findings)
+    findings = graph.errors + apply_waivers(graph, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     warnings = apply_waivers(graph, graph.warnings)
     warnings.sort(key=lambda f: (f.path, f.line))
@@ -134,46 +158,9 @@ def check(
     )
 
 
-def main(argv: Sequence[str] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-ddb check",
-        description="Whole-program static certification: complexity "
-        "reachability (RPR101-RPR103) and lock discipline "
-        "(RPR201-RPR204) over the repro call graph.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", type=Path,
-        help="extra files or directories analyzed alongside the repro "
-        "package (e.g. tests/ for the nightly sweep)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json is the CI artifact format)",
-    )
-    parser.add_argument(
-        "--rules", action="store_true",
-        help="list the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--warnings", action="store_true",
-        help="also print RPR100 dynamic-dispatch warnings (text mode)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, metavar="JSON",
-        help="gate on findings NOT in this baseline",
-    )
-    parser.add_argument(
-        "--write-baseline", type=Path, metavar="JSON",
-        help="record the current findings as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--diff", action="store_true",
-        help="only report findings in files changed vs. git HEAD "
-        "(the graph is still whole-program)",
-    )
-    args = parser.parse_args(argv)
+def main(args: argparse.Namespace) -> int:
+    """``repro-ddb check`` on parsed arguments (the flags are declared
+    once, in :func:`repro.cli.build_parser`)."""
     if args.rules:
         for rule_id, summary in sorted(RULES.items()):
             print(f"{rule_id}  {summary}")
@@ -218,7 +205,3 @@ def main(argv: Sequence[str] = None) -> int:
             "Σ₂ᵖ site(s) in graph"
         )
     return 1 if gated else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

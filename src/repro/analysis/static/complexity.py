@@ -26,11 +26,14 @@ Rules:
 
 ====== ===============================================================
 RPR101 A semantics entry point whose every Table 1/2 cell forbids Σ₂ᵖ
-       dispatch (coNP and below) statically reaches a Σ₂ᵖ primitive.
-       This is the transitive closure of RPR003: three helper calls
-       deep is as much a violation as a direct import.
-RPR102 Any function defined in a coNP-classified semantics module
-       reaches a Σ₂ᵖ primitive (module-granular RPR003, transitive).
+       dispatch (coNP and below) statically reaches a Σ₂ᵖ primitive:
+       three helper calls deep is as much a violation as a direct
+       call.
+RPR102 A coNP-classified semantics module (every Table 1/2 upper bound
+       ≤ coNP — currently ``ddr`` and ``pws``) references Σ₂ᵖ
+       machinery (an import, name or attribute naming a public Σ₂ᵖ
+       primitive, a class defining one, or a dispatch hook), or any
+       function defined there reaches a Σ₂ᵖ primitive.
 RPR103 A Σ₂ᵖ primitive realization statically reaches another Σ₂ᵖ
        primitive through resolved edges — a dispatch-depth-2 machine,
        which every Π₂ᵖ/Θ₃ᵖ envelope (``max_sigma2_depth = 1``) forbids.
@@ -51,8 +54,11 @@ import ast
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..lint import Finding, conp_semantics
-from .callgraph import CallGraph, FunctionNode
+from repro.complexity import ROW_ORDER
+from repro.complexity.classes import CC, Regime, Task
+from repro.obs.certify import TASK_FOR_METHOD, Certifier, canonical_name
+
+from .callgraph import CallGraph, Finding, ModuleInfo
 
 #: Function names whose *call* marks the enclosing definition as a
 #: primitive realization of each kind.
@@ -87,10 +93,41 @@ def classify_primitives(graph: CallGraph) -> Dict[str, str]:
     return kinds
 
 
-def _method_task(method: str):
-    from repro.obs.certify import TASK_FOR_METHOD
+def sigma2_machinery(
+    graph: CallGraph, primitives: Dict[str, str]
+) -> FrozenSet[str]:
+    """Names a coNP semantics module must not reference: the dispatch
+    hooks, every public Σ₂ᵖ primitive defined at module or class level,
+    and every class that defines a Σ₂ᵖ primitive."""
+    names = set(SIGMA2_TICKS) | {SIGMA2_DECORATOR}
+    for qualname, kind in primitives.items():
+        if kind != "sigma2":
+            continue
+        fn = graph.functions[qualname]
+        if fn.cls is not None:
+            names.add(fn.cls.rsplit(".", 1)[-1])
+        owner = qualname.rsplit(".", 1)[0]
+        if not fn.name.startswith("_") and owner in (fn.module, fn.cls):
+            names.add(fn.name)
+    return frozenset(names)
 
-    return TASK_FOR_METHOD.get(method)
+
+def conp_semantics() -> FrozenSet[str]:
+    """Semantics whose every Table 1/2 upper bound is ≤ coNP, derived
+    from the certifier's claims."""
+    low = {CC.CONSTANT, CC.P, CC.NP, CC.CONP}
+    names = []
+    for name in ROW_ORDER:
+        uppers = set()
+        for task in Task:
+            for regime in Regime:
+                try:
+                    uppers.add(Certifier.claim_for(name, task, regime).upper)
+                except KeyError:
+                    continue
+        if uppers and uppers <= low:
+            names.append(name)
+    return frozenset(names)
 
 
 def sigma2_allowed(semantics: str, method: str) -> Optional[bool]:
@@ -103,10 +140,7 @@ def sigma2_allowed(semantics: str, method: str) -> Optional[bool]:
     semantics has no table claim (comparison semantics like ``cwa``
     escape Pass 1 exactly as they escape certification).
     """
-    from repro.obs.certify import Certifier, canonical_name
-    from repro.complexity.classes import Regime
-
-    task = _method_task(method)
+    task = TASK_FOR_METHOD.get(method)
     if task is None:
         return None
     name = canonical_name(semantics)
@@ -167,6 +201,39 @@ def _sigma2_hit(
     return None
 
 
+def _machinery_references(
+    module: ModuleInfo, machinery: FrozenSet[str]
+) -> List[Finding]:
+    findings: List[Finding] = []
+    for node in ast.walk(module.tree):
+        refs: List[Tuple[str, int, int]] = []
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno, node.col_offset))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno, node.col_offset))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ast.alias carries no position before Python 3.10.
+            refs.extend(
+                (
+                    alias.name.rsplit(".", 1)[-1],
+                    getattr(alias, "lineno", node.lineno),
+                    getattr(alias, "col_offset", node.col_offset),
+                )
+                for alias in node.names
+            )
+        for name, line, col in refs:
+            if name in machinery:
+                findings.append(
+                    Finding(
+                        "RPR102", module.path, line, col,
+                        f"coNP-classified semantics module references "
+                        f"Σ₂ᵖ machinery ({name}); the certified envelope "
+                        "forbids minimal-model dispatch here",
+                    )
+                )
+    return findings
+
+
 def check_complexity(graph: CallGraph) -> List[Finding]:
     """Run Pass 1 over a built graph."""
     findings: List[Finding] = []
@@ -209,13 +276,17 @@ def check_complexity(graph: CallGraph) -> List[Finding]:
                 )
             )
 
-    # RPR102 — transitive module purity for coNP semantics modules.
-    conp_modules = {
-        f"repro/semantics/{name}.py" for name in conp_semantics()
-    }
+    # RPR102 — coNP semantics modules: no reference to Σ₂ᵖ machinery,
+    # and no function reaching a Σ₂ᵖ primitive.
+    conp_modules = tuple(
+        f"repro/semantics/{name}.py" for name in sorted(conp_semantics())
+    )
+    machinery = sigma2_machinery(graph, primitives)
+    for module in graph.modules.values():
+        if Path(module.path).as_posix().endswith(conp_modules):
+            findings += _machinery_references(module, machinery)
     for qualname, fn in graph.functions.items():
-        posix = Path(fn.path).as_posix()
-        if not any(posix.endswith(suffix) for suffix in conp_modules):
+        if not Path(fn.path).as_posix().endswith(conp_modules):
             continue
         parents = graph.reachable(
             qualname, skip_brute=True, skip_fallback=True
@@ -228,7 +299,7 @@ def check_complexity(graph: CallGraph) -> List[Finding]:
                     "RPR102", fn.path, fn.lineno, 0,
                     f"{qualname} lives in a coNP-classified semantics "
                     f"module but statically reaches the Σ₂ᵖ primitive "
-                    f"{hit} [{path}] (RPR003, made transitive)",
+                    f"{hit} [{path}]",
                 )
             )
 

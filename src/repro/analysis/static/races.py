@@ -46,8 +46,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..lint import Finding
-from .callgraph import CallGraph, FunctionNode, _dotted
+from .callgraph import CallGraph, Finding, FunctionNode, _dotted
 
 #: Facade singletons whose locking is delegated to contained objects —
 #: externally they must still be treated as shared state (RPR202).
@@ -530,7 +529,7 @@ def check_races(graph: CallGraph) -> List[Finding]:
                     dotted = _dotted(arg)
                     module = graph.modules.get(fn.module)
                     if dotted and module is not None:
-                        target = graph._qualify(module, dotted)
+                        target = graph.qualify(module, dotted)
                 if target is None or target not in graph.functions:
                     continue
                 parents = graph.reachable(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
@@ -458,47 +459,10 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from .analysis.lint import main as lint_main
-
-    argv = [str(path) for path in args.paths]
-    argv += ["--format", args.format]
-    if args.rules:
-        argv.append("--rules")
-    if args.baseline is not None:
-        argv += ["--baseline", str(args.baseline)]
-    if args.diff:
-        argv.append("--diff")
-    status = lint_main(argv)
-    if args.deep and not args.rules:
-        # Fold the whole-program certifier in: worst status wins.  The
-        # deep pass is always whole-program (paths are not forwarded —
-        # the call graph needs the entire package either way).
-        from .analysis.static.checker import main as check_main
-
-        check_argv = ["--format", args.format]
-        if args.baseline is not None:
-            check_argv += ["--baseline", str(args.baseline)]
-        if args.diff:
-            check_argv.append("--diff")
-        status = max(status, check_main(check_argv))
-    return status
-
-
 def _cmd_check(args) -> int:
     from .analysis.static.checker import main as check_main
 
-    argv = [str(path) for path in args.paths]
-    argv += ["--format", args.format]
-    if args.rules:
-        argv.append("--rules")
-    if args.warnings:
-        argv.append("--warnings")
-    if args.baseline is not None:
-        argv += ["--baseline", str(args.baseline)]
-    if args.diff:
-        argv.append("--diff")
-    return check_main(argv)
+    return check_main(args)
 
 
 def _cmd_serve(args) -> int:
@@ -876,56 +840,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan_cmd.set_defaults(handler=_cmd_plan)
 
-    lint_cmd = commands.add_parser(
-        "lint",
-        help=(
-            "lint the source tree for complexity-accounting "
-            "conventions (rules RPR001-RPR006)"
-        ),
-    )
-    lint_cmd.add_argument(
-        "paths", nargs="*",
-        help="files or directories (default: the repro package)",
-    )
-    lint_cmd.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format",
-    )
-    lint_cmd.add_argument(
-        "--rules", action="store_true",
-        help="list the rule catalog and exit",
-    )
-    lint_cmd.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program static certifier "
-        "(repro-ddb check) and combine exit status",
-    )
-    lint_cmd.add_argument(
-        "--baseline", metavar="JSON",
-        help="gate on findings NOT in this baseline",
-    )
-    lint_cmd.add_argument(
-        "--diff", action="store_true",
-        help="only report findings in files changed vs. git HEAD",
-    )
-    lint_cmd.set_defaults(handler=_cmd_lint)
-
     check_cmd = commands.add_parser(
         "check",
+        aliases=["lint"],
         help=(
-            "whole-program static certification: call-graph complexity "
+            "static analysis of the source tree: complexity-accounting "
+            "conventions (RPR001-RPR006), call-graph complexity "
             "envelopes (RPR101-RPR103) and lock discipline "
             "(RPR201-RPR204)"
         ),
     )
     check_cmd.add_argument(
-        "paths", nargs="*",
+        "paths", nargs="*", type=Path,
         help="extra files or directories analyzed alongside the repro "
-        "package (e.g. tests/ for the nightly sweep)",
+        "package (a directory sweep, e.g. tests/ for the nightly run, "
+        "joins the call-graph passes only)",
     )
     check_cmd.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="report format",
+        help="report format (json is the CI artifact format)",
     )
     check_cmd.add_argument(
         "--rules", action="store_true",
@@ -933,15 +866,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_cmd.add_argument(
         "--warnings", action="store_true",
-        help="also print RPR100 dynamic-dispatch warnings",
+        help="also print RPR100 dynamic-dispatch warnings (text mode)",
     )
     check_cmd.add_argument(
-        "--baseline", metavar="JSON",
+        "--baseline", type=Path, metavar="JSON",
         help="gate on findings NOT in this baseline",
     )
     check_cmd.add_argument(
+        "--write-baseline", type=Path, metavar="JSON",
+        help="record the current findings as a baseline and exit 0",
+    )
+    check_cmd.add_argument(
         "--diff", action="store_true",
-        help="only report findings in files changed vs. git HEAD",
+        help="only report findings in files changed vs. git HEAD "
+        "(the graph is still whole-program)",
     )
     check_cmd.set_defaults(handler=_cmd_check)
 

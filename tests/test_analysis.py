@@ -4,9 +4,9 @@ Prong 1 — input analysis: fragment detectors with *is* / *is-barely-not*
 witness pairs, planner dispatch, the zero-SAT-call Horn fast path, and
 the certifier's tightened fragment envelopes.
 
-Prong 2 — codebase analysis: the linter must report a clean tree on this
-PR *and* flag seeded violations (both directions of the CI gate), with
-inline waivers honoured.
+Prong 2 — codebase analysis: the static analyzer's convention rules
+must report a clean tree on this PR *and* flag seeded violations (both
+directions of the CI gate), with inline waivers honoured.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ from repro.analysis import (
     FragmentAnalyzer,
     FragmentPlanner,
     fragment_profile,
-)
-from repro.analysis.lint import (
-    conp_semantics,
-    default_target,
-    lint_file,
-    lint_paths,
-    main as lint_main,
 )
 from repro.analysis.planner import (
     DEFAULT_PROCEDURE,
@@ -40,6 +33,9 @@ from repro.analysis.procedures import (
     horn_least_model,
     is_founded_minimal,
 )
+from repro.analysis.static import checker, default_target
+from repro.analysis.static.complexity import conp_semantics
+from repro.cli import main as cli_main
 from repro.engine.cache import ENGINE_CACHE, stratification_for
 from repro.errors import ReproError
 from repro.logic.parser import parse_database, parse_formula
@@ -368,18 +364,12 @@ def test_certifier_tightening_flags_single_np_call():
 
 
 # ----------------------------------------------------------------------
-# Prong 2: the linter
+# Prong 2: the static analyzer's convention rules
 # ----------------------------------------------------------------------
-def test_lint_clean_on_this_tree(capsys):
-    """Direction 1 of the CI gate: the shipped tree has zero findings."""
-    assert lint_main([str(default_target())]) == 0
-    assert "0 finding(s)" in capsys.readouterr().out
-
-
-def test_lint_flags_seeded_violations(tmp_path, capsys):
-    """Direction 2: a violating file fails the gate with the right rules."""
-    seeded = tmp_path / "seeded.py"
-    seeded.write_text(
+#: Seeded inputs, one file each.  ``seeded_findings`` checks them all in
+#: one run, so the package joins the call graph once for this module.
+SEEDED = {
+    "seeded.py": (
         "from repro.sat.solver import SatSolver\n"
         "from repro.semantics.stratification import stratify\n"
         "\n"
@@ -391,45 +381,20 @@ def test_lint_flags_seeded_violations(tmp_path, capsys):
         "\n"
         "def analyze(db):\n"
         "    return stratify(db)\n"
-    )
-    findings = lint_paths([seeded])
-    rules = {finding.rule for finding in findings}
-    assert {"RPR001", "RPR002", "RPR004", "RPR006"} <= rules
-    assert lint_main([str(seeded)]) == 1
-    assert "RPR001" in capsys.readouterr().out
-
-
-def test_lint_waivers_suppress(tmp_path):
-    waived = tmp_path / "waived.py"
-    waived.write_text(
+    ),
+    "waived.py": (
         "from repro.sat.solver import SatSolver\n"
         "\n"
         "a = SatSolver()  # lint: ok RPR001 -- test fixture\n"
         "# lint: ok RPR001\n"
         "b = SatSolver()\n"
         "c = SatSolver()  # lint: ok RPR004 -- wrong rule, no effect\n"
-    )
-    findings = lint_file(waived)
-    assert len(findings) == 1
-    assert findings[0].line == 6
-
-
-def test_lint_conp_purity_rule(tmp_path):
-    """RPR003 fires only in the coNP-classified semantics modules."""
-    package = tmp_path / "repro" / "semantics"
-    package.mkdir(parents=True)
-    body = "from ..sat.minimal import MinimalModelSolver\n"
-    conp_file = package / "ddr.py"
-    conp_file.write_text(body)
-    other_file = package / "egcwa.py"
-    other_file.write_text(body)
-    assert {f.rule for f in lint_file(conp_file)} == {"RPR003"}
-    assert lint_file(other_file) == []
-
-
-def test_lint_unregistered_semantics(tmp_path):
-    source = tmp_path / "rogue.py"
-    source.write_text(
+    ),
+    "repro/semantics/ddr.py": "from ..sat.minimal import MinimalModelSolver\n",
+    "repro/semantics/egcwa.py": (
+        "from ..sat.minimal import MinimalModelSolver\n"
+    ),
+    "rogue.py": (
         "from repro.semantics.base import Semantics, register\n"
         "\n"
         "class Rogue(Semantics):\n"
@@ -442,23 +407,73 @@ def test_lint_unregistered_semantics(tmp_path):
         "@register\n"
         "class Fine(Semantics):\n"
         "    name = 'egcwa'\n"
-    )
-    findings = [f for f in lint_file(source) if f.rule == "RPR005"]
+    ),
+    "one.py": "from x import SatSolver\ns = SatSolver()\n",
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_findings(tmp_path_factory):
+    """``{name: (path, findings in that file)}`` from one check."""
+    root = tmp_path_factory.mktemp("seeded").resolve()
+    paths = {}
+    for name, source in SEEDED.items():
+        paths[name] = root / name
+        paths[name].parent.mkdir(parents=True, exist_ok=True)
+        paths[name].write_text(source, encoding="utf-8")
+    report = checker.check(extra_paths=list(paths.values()))
+    return {
+        name: (path, [f for f in report.findings if f.path == str(path)])
+        for name, path in paths.items()
+    }
+
+
+def test_lint_clean_on_this_tree(capsys):
+    """Direction 1 of the CI gate: the shipped tree has zero findings."""
+    assert cli_main(["lint", str(default_target())]) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
+
+
+def test_lint_flags_seeded_violations(seeded_findings, capsys):
+    """Direction 2: a violating file fails the gate with the right rules."""
+    seeded, findings = seeded_findings["seeded.py"]
+    rules = {finding.rule for finding in findings}
+    assert {"RPR001", "RPR002", "RPR004", "RPR006"} <= rules
+    assert cli_main(["lint", str(seeded)]) == 1
+    assert "RPR001" in capsys.readouterr().out
+
+
+def test_lint_waivers_suppress(seeded_findings):
+    _, findings = seeded_findings["waived.py"]
+    assert len(findings) == 1
+    assert findings[0].line == 6
+
+
+def test_lint_conp_purity_rule(seeded_findings):
+    """Σ₂ᵖ machinery references are RPR102 findings only in the
+    coNP-classified semantics modules."""
+    _, conp_findings = seeded_findings["repro/semantics/ddr.py"]
+    _, other_findings = seeded_findings["repro/semantics/egcwa.py"]
+    assert {f.rule for f in conp_findings} == {"RPR102"}
+    assert other_findings == []
+
+
+def test_lint_unregistered_semantics(seeded_findings):
+    _, findings = seeded_findings["rogue.py"]
+    findings = [f for f in findings if f.rule == "RPR005"]
     assert len(findings) == 2
     assert "not @register-ed" in findings[0].message
     assert "no Table 1/2 row claim" in findings[1].message
 
 
-def test_lint_json_report(tmp_path, capsys):
-    seeded = tmp_path / "one.py"
-    seeded.write_text("from x import SatSolver\ns = SatSolver()\n")
-    assert lint_main([str(seeded), "--format", "json"]) == 1
+def test_lint_json_report(seeded_findings, capsys):
+    seeded, _ = seeded_findings["one.py"]
+    assert cli_main(["lint", str(seeded), "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["count"] == 1
     assert report["findings"][0]["rule"] == "RPR001"
 
 
 def test_conp_semantics_derived_from_tables():
-    """The rule-3 module set is derived from the table claims and must
-    match the static fallback the linter ships."""
+    """The RPR102 module set is derived from the table claims."""
     assert conp_semantics() == frozenset({"ddr", "pws"})

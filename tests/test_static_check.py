@@ -1,19 +1,23 @@
-"""Tests for the whole-program static certifier (``repro-ddb check``).
+"""Tests for the static analyzer (``repro-ddb check``, alias ``lint``).
 
 Covers the call-graph builder (cycles, decorated defs, relative
 imports, late-bound ``self`` dispatch, brute-branch pruning, dynamic
 ``getattr`` conservatism-as-warning — including hypothesis-generated
-module graphs checked against a reference reachability), Pass 1's
+module graphs checked against a reference reachability), the
+convention rules' use of resolved call targets, Pass 1's
 certify-derived Σ₂ᵖ allowances and fallback-edge annotations, Pass 2's
 race rules against the seeded known-bad fixtures in
-``tests/data/static_injections/``, the shared baseline/diff machinery,
-and the CLI surface.
+``tests/data/static_injections/``, the baseline/diff machinery, and
+the CLI surface.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import subprocess
 import textwrap
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -21,10 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis.lint import lint_paths
-from repro.analysis.lint import main as lint_main
 from repro.analysis.static import checker, complexity
-from repro.analysis.static.callgraph import CallGraph
+from repro.analysis.static.callgraph import CallGraph, Finding
 from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).resolve().parent / "data" / "static_injections"
@@ -156,6 +158,13 @@ def test_nightly_sweep_skips_injection_dir(tmp_path):
     assert checker._expand_extra([one]) == [one]
 
 
+def test_package_paths_add_nothing_to_the_graph(clean_report):
+    """``check src/repro`` is ``check``: a path under the package root
+    is already in the graph and is not added again under its stem."""
+    again = checker.check(extra_paths=[checker.default_target()])
+    assert again.summary == clean_report.summary
+
+
 # ----------------------------------------------------------------------
 # Pass 1 mechanics: certify-derived allowances + fallback edges
 # ----------------------------------------------------------------------
@@ -185,9 +194,10 @@ def test_fallback_edge_annotation_cuts_reachability(tmp_path):
     source = textwrap.dedent(
         """\
         from repro.sat.minimal import MinimalModelSolver
-        from repro.semantics.base import Semantics
+        from repro.semantics.base import Semantics, register
 
 
+        @register
         class ProbePws(Semantics):
             name = "pws"
 
@@ -314,6 +324,47 @@ def test_callgraph_getattr_is_warning_not_miss(tmp_path):
     # by_name warns twice (the getattr itself and the computed outer
     # call), computed once — conservatism is never silent.
     assert len(graph.warnings) == 3
+
+
+def test_callgraph_constant_getattr_is_attribute_access(tmp_path):
+    """``getattr(x, "m")`` with a constant name reads ``x.m``: no
+    warning, and calling its result adds the same site as
+    ``x.m(...)``."""
+    mod = tmp_path / "const.py"
+    mod.write_text(
+        textwrap.dedent(
+            """\
+            class Worker:
+                def run(self):
+                    return 1
+
+                def go(self):
+                    return getattr(self, "run")()
+
+
+            def spelled(obj):
+                return getattr(obj, "run")()
+
+
+            def plain(obj):
+                return obj.run()
+
+
+            def read(obj):
+                return getattr(obj, "run", None)
+            """
+        ),
+        encoding="utf-8",
+    )
+    graph = build_extra(mod)
+    assert graph.warnings == []
+
+    def sites(qualname):
+        return [(s.kind, s.target) for s in graph.functions[qualname].calls]
+
+    assert sites("const.Worker.go") == [("self", "run")]
+    assert sites("const.spelled") == sites("const.plain") == [("attr", "run")]
+    assert sites("const.read") == []
 
 
 def test_callgraph_relative_imports(tmp_path):
@@ -458,8 +509,13 @@ def test_callgraph_matches_reference_reachability(tmp_path, data):
 
 
 # ----------------------------------------------------------------------
-# RPR004 alias blind spot (lint satellite)
+# Convention rules on resolved call targets
 # ----------------------------------------------------------------------
+
+def lint(*paths):
+    """Every rule over a graph of just these files (no package)."""
+    return checker.check(graph=build_extra(*paths)).findings
+
 
 def test_lint_rpr004_sees_through_aliases(tmp_path):
     bad = tmp_path / "alias_loop.py"
@@ -475,7 +531,7 @@ def test_lint_rpr004_sees_through_aliases(tmp_path):
         ),
         encoding="utf-8",
     )
-    assert [finding.rule for finding in lint_paths([bad])] == ["RPR004"]
+    assert [finding.rule for finding in lint(bad)] == ["RPR004"]
 
     chained = tmp_path / "alias_chain.py"
     chained.write_text(
@@ -492,7 +548,7 @@ def test_lint_rpr004_sees_through_aliases(tmp_path):
         encoding="utf-8",
     )
     assert [
-        finding.rule for finding in lint_paths([chained])
+        finding.rule for finding in lint(chained)
     ] == ["RPR004"]
 
     good = tmp_path / "alias_loop_ok.py"
@@ -509,7 +565,69 @@ def test_lint_rpr004_sees_through_aliases(tmp_path):
         ),
         encoding="utf-8",
     )
-    assert lint_paths([good]) == []
+    assert lint(good) == []
+
+
+#: A call target behind an import alias, and a semantics base reached
+#: through a subclass: matching names in one file misses each.
+BLIND_SPOTS = {
+    "alias_solver.py": (
+        "from repro.sat.solver import SatSolver as S\n"
+        "\n"
+        "\n"
+        "def build():\n"
+        "    return S()\n"
+    ),
+    "alias_stratify.py": (
+        "from repro.semantics.stratification import stratify as strat\n"
+        "\n"
+        "\n"
+        "def layers(db):\n"
+        "    return strat(db)\n"
+    ),
+    "rogue_subclass.py": (
+        "from repro.semantics.egcwa import Egcwa\n"
+        "\n"
+        "\n"
+        "class Rogue(Egcwa):\n"
+        "    name = \"rogue\"\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def blind_spot_findings(tmp_path_factory):
+    """``{file: [(rule, line), ...]}`` from one ``repro-ddb lint --format
+    json`` run over every blind-spot file."""
+    root = tmp_path_factory.mktemp("blind_spots").resolve()
+    for name, source in BLIND_SPOTS.items():
+        (root / name).write_text(source, encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli_main(
+            ["lint", "--format", "json"]
+            + [str(root / name) for name in BLIND_SPOTS]
+        )
+    findings = json.loads(out.getvalue())["findings"]
+    return {
+        name: [
+            (f["rule"], f["line"]) for f in findings
+            if f["path"] == str(root / name)
+        ]
+        for name in BLIND_SPOTS
+    }
+
+
+def test_lint_rpr001_sees_through_import_aliases(blind_spot_findings):
+    assert blind_spot_findings["alias_solver.py"] == [("RPR001", 5)]
+
+
+def test_lint_rpr006_sees_through_import_aliases(blind_spot_findings):
+    assert blind_spot_findings["alias_stratify.py"] == [("RPR006", 5)]
+
+
+def test_lint_rpr005_walks_inherited_semantics_bases(blind_spot_findings):
+    assert blind_spot_findings["rogue_subclass.py"] == [("RPR005", 4)]
 
 
 # ----------------------------------------------------------------------
@@ -528,8 +646,6 @@ def _seeded_violation(tmp_path, name="seeded.py"):
 
 
 def test_baseline_roundtrip_budgets_duplicates(tmp_path):
-    from repro.analysis.lint import Finding
-
     first = Finding("RPR001", "src/repro/x.py", 3, 0, "msg")
     twin = Finding("RPR001", "src/repro/x.py", 9, 0, "msg")
     other = Finding("RPR002", "src/repro/y.py", 1, 0, "other")
@@ -556,12 +672,12 @@ def test_normalize_path_strips_checkout_prefix():
 def test_lint_baseline_gates_only_new_findings(tmp_path, capsys):
     seeded = _seeded_violation(tmp_path)
     base = tmp_path / "baseline.json"
-    assert lint_main(
-        [str(seeded), "--write-baseline", str(base)]
+    assert cli_main(
+        ["lint", str(seeded), "--write-baseline", str(base)]
     ) == 0
     capsys.readouterr()
     # Same findings, baselined: gate passes.
-    assert lint_main([str(seeded), "--baseline", str(base)]) == 0
+    assert cli_main(["lint", str(seeded), "--baseline", str(base)]) == 0
     assert "[baselined]" in capsys.readouterr().out
     # A second violation shows up as new: gate fails.
     seeded.write_text(
@@ -569,7 +685,17 @@ def test_lint_baseline_gates_only_new_findings(tmp_path, capsys):
         + "\n\ndef build_two():\n    return SatSolver()\n",
         encoding="utf-8",
     )
-    assert lint_main([str(seeded), "--baseline", str(base)]) == 1
+    assert cli_main(["lint", str(seeded), "--baseline", str(base)]) == 1
+
+
+def test_check_writes_and_gates_on_a_baseline(tmp_path, capsys):
+    seeded = _seeded_violation(tmp_path)
+    base = tmp_path / "baseline.json"
+    assert cli_main(
+        ["check", str(seeded), "--write-baseline", str(base)]
+    ) == 0
+    assert "baseline of 1 finding(s)" in capsys.readouterr().out
+    assert cli_main(["check", str(seeded), "--baseline", str(base)]) == 0
 
 
 def test_changed_files_in_throwaway_git_repo(tmp_path):
@@ -598,8 +724,6 @@ def test_changed_files_in_throwaway_git_repo(tmp_path):
 
 
 def test_restrict_to_changed(tmp_path):
-    from repro.analysis.lint import Finding
-
     kept_path = tmp_path / "kept.py"
     kept_path.write_text("", encoding="utf-8")
     kept = Finding("RPR001", str(kept_path), 1, 0, "m")
@@ -620,6 +744,28 @@ def test_cli_check_rules(capsys):
         assert rule in out
 
 
+def test_cli_lint_is_check(capsys):
+    """One rule catalog: ``lint`` is an alias of ``check``."""
+    assert cli_main(["check", "--rules"]) == 0
+    check_rules = capsys.readouterr().out
+    assert cli_main(["lint", "--rules"]) == 0
+    assert capsys.readouterr().out == check_rules
+    assert [line.split()[0] for line in check_rules.splitlines()] == [
+        "RPR001", "RPR002", "RPR004", "RPR005", "RPR006",
+        "RPR100", "RPR101", "RPR102", "RPR103",
+        "RPR201", "RPR202", "RPR203", "RPR204",
+    ]
+
+
+def test_cli_check_reports_syntax_errors(tmp_path, capsys):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def ok():\n    pass\n\n\ndef bad(:\n", encoding="utf-8")
+    assert cli_main(["check", str(broken)]) == 1
+    out = capsys.readouterr().out
+    assert f"{broken.resolve()}:5:" in out
+    assert "RPR000 syntax error" in out
+
+
 def test_cli_check_flags_fixture_and_gate(capsys):
     fixture = FIXTURES / "runtime_stats_rmw.py"
     assert cli_main(["check", str(fixture)]) == 1
@@ -635,7 +781,7 @@ def test_checker_waiver_suppresses(tmp_path):
         "\n"
         "\n"
         "def tick():\n"
-        "    # static: ok RPR202 -- exercised single-threaded only\n"
+        "    # lint: ok RPR202 -- exercised single-threaded only\n"
         "    RUNTIME_STATS.budgets_exceeded += 1\n",
         encoding="utf-8",
     )
