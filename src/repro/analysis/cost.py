@@ -17,14 +17,15 @@ asserted by ``tests/test_differential.py``):
 
     G(p)  = (atoms + largest_scc + disjunctive_clauses) // 8
 
-* one Σ₂ᵖ dispatch (``find_minimal_satisfying``: candidate generation,
-  the shrink-within chain, one SAT minimality check)::
+* one Σ₂ᵖ dispatch (``find_minimal_satisfying``: candidate generation
+  and one SAT minimality check per candidate)::
 
       S(p)  = 3 + G(p)          # NP calls, 1 Σ₂ᵖ dispatch
 
-* one *founded* search (``np_find_minimal_satisfying``: same candidate
-  loop, but the minimality oracle is the polynomial foundedness check —
-  one SAT call fewer, zero dispatches)::
+* one *founded* search (``np_find_minimal_satisfying``: the same
+  candidate loop, each candidate shrunk within the search scope and
+  checked by the polynomial foundedness test instead of an NP call —
+  priced one SAT call below ``S``, zero dispatches)::
 
       F(p)  = 2 + G(p)          # NP calls, 0 dispatches
 

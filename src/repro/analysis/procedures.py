@@ -9,9 +9,9 @@ Three machines back the planner's fast paths:
   the Horn cell of the fragment lattice is genuinely in P, and the
   certifier holds the planner to it.
 
-* :class:`HeadCycleFreeSolver` — minimal-model queries where the Σ₂ᵖ
-  primitive (:meth:`~repro.sat.minimal.MinimalModelSolver.
-  find_minimal_satisfying`) is replaced by candidate generation plus the
+* :class:`HeadCycleFreeSolver` — minimal-model queries on the
+  :class:`~repro.sat.minimal.MinimalModelSolver` guess loop, with the
+  Σ₂ᵖ primitive's NP minimality check replaced by the
   Ben-Eliyahu–Dechter *foundedness* check.  The foundedness check is a
   polynomial fixpoint, sound for every negation-free database and
   complete for head-cycle-free ones, so on the ``hcf-deductive``
@@ -31,15 +31,14 @@ workload pays the |V| founded searches once, not once per query.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..errors import SolverError
 from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Not
 from ..logic.interpretation import Interpretation
-from ..runtime.budget import check_deadline
-from ..sat.incremental import Scope, scoped_sweep
+from ..sat.incremental import Scope
 from ..sat.minimal import MinimalModelSolver
 
 #: Engine-cache kind for memoized least models.
@@ -252,93 +251,52 @@ class HeadCycleFreeSolver(MinimalModelSolver):
     """NP-level minimal-model queries for head-cycle-free deductive
     databases.
 
-    Inherits the pooled-solver plumbing and candidate search of
-    :class:`~repro.sat.minimal.MinimalModelSolver`, but exposes
-    ``np_``-prefixed variants of the Σ₂ᵖ primitive in which the
-    minimality oracle is the polynomial foundedness check — the methods
-    are deliberately *not* named ``find_minimal_satisfying`` and *not*
+    Runs the guess loop of :class:`~repro.sat.minimal.MinimalModelSolver`,
+    but the minimality test is the polynomial foundedness check, after
+    the guess is shrunk within the search scope.  The methods are
+    deliberately *not* named ``find_minimal_satisfying`` and *not*
     decorated with ``counts_as_sigma2_dispatch``, because on this
     fragment they realize an NP machine (plain SAT calls only).  Using
     this class on a database with head cycles is unsound (the planner
     gates on the fragment profile).
     """
 
-    def np_is_minimal(self, model: Iterable[str]) -> bool:
-        """Polynomial minimality check (complete on HCF input)."""
-        return is_founded_minimal(self.db, model)
+    def _founded_witness(
+        self, searcher: Scope, assumptions: Sequence[Literal] = ()
+    ) -> Optional[Interpretation]:
+        """A founded model of ``searcher``'s constraints under
+        ``assumptions``, or ``None``: each guess is shrunk within the
+        scope first, so the foundedness checks stay few."""
+        for candidate in self._candidates(searcher, assumptions):
+            candidate = self.shrink(
+                candidate, within=searcher, assumptions=assumptions
+            )
+            if is_founded_minimal(self.db, candidate):
+                return candidate
+        return None
 
     def np_find_minimal_satisfying(
-        self, condition: Formula, max_candidates: Optional[int] = None
+        self, condition: Formula
     ) -> Optional[Interpretation]:
         """A minimal model of the theory satisfying ``condition``, or
         ``None`` — candidate generation (SAT) plus foundedness checks
         (polynomial); never dispatches the Σ₂ᵖ primitive."""
         with self._inc.scope() as searcher:
             searcher.add_formula(condition)
-            tried = 0
-            while max_candidates is None or tried < max_candidates:
-                check_deadline()
-                if not searcher.solve():
-                    return None
-                candidate = searcher.model(restrict_to=self.universe)
-                candidate = self._shrink_within(searcher, candidate)
-                tried += 1
-                if self.np_is_minimal(candidate):
-                    return candidate
-                block = [Literal.neg(a) for a in sorted(candidate)]
-                block += [
-                    Literal.pos(a)
-                    for a in self.universe
-                    if a not in candidate
-                ]
-                searcher.add_clause(block)
-        raise SolverError(
-            f"candidate budget {max_candidates} exhausted in "
-            "np_find_minimal_satisfying"
-        )
+            return self._founded_witness(searcher)
 
     def np_entails(self, formula: Formula) -> bool:
         """Minimal-model entailment via the NP-level machine: true iff
         no minimal model satisfies ``¬formula``."""
         return self.np_find_minimal_satisfying(Not(formula)) is None
 
-    def _np_sweep_witness(
-        self, searcher: Scope, assumption: Literal
-    ) -> Optional[Interpretation]:
-        """One candidate atom of a batched founded sweep (undecorated —
-        this is the NP machine): the candidate travels as a solver
-        assumption so every atom shares one scope, and failed candidates
-        leave condition-independent full-assignment blocks behind."""
-        while True:
-            check_deadline()
-            if not searcher.solve([assumption]):
-                return None
-            candidate = searcher.model(restrict_to=self.universe)
-            candidate = self._shrink_within(
-                searcher, candidate, extra_assumptions=(assumption,)
-            )
-            if self.np_is_minimal(candidate):
-                return candidate
-            block = [Literal.neg(a) for a in sorted(candidate)]
-            block += [
-                Literal.pos(a)
-                for a in self.universe
-                if a not in candidate
-            ]
-            searcher.add_clause(block)
-
     def np_free_for_negation(self) -> FrozenSet[str]:
         """``ff(DB)`` — atoms false in every minimal model — as one
-        batched NP-level sweep over the vocabulary (the GCWA/CCWA
-        closure input); same SAT-call sites as the per-atom loop, one
-        shared scope instead of |V|."""
-        results = scoped_sweep(
-            self._inc,
-            sorted(self.db.vocabulary),
-            lambda searcher, atom: self._np_sweep_witness(
-                searcher, Literal.pos(atom)
-            ),
-        )
-        return frozenset(
-            atom for atom, witness in results.items() if witness is None
-        )
+        batched NP-level sweep over the vocabulary in a single scope
+        (the GCWA/CCWA closure input)."""
+        with self._inc.scope() as searcher:
+            return frozenset(
+                atom
+                for atom in self.levels[0]
+                if self._founded_witness(searcher, [Literal.pos(atom)]) is None
+            )

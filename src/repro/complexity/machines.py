@@ -168,7 +168,7 @@ def _solve_union_query(
     blocking the cone above the discovered smaller model.
     """
     from ..sat.incremental import IncrementalSatSolver
-    from ..sat.minimal import PZMinimalModelSolver
+    from ..sat.minimal import MinimalModelSolver
 
     oracle.queries += 1
 
@@ -186,7 +186,7 @@ def _solve_union_query(
             if extra_condition is not None:
                 searcher.add_formula(extra_condition)
             q = frozenset(db.vocabulary) - p - z
-            checker = PZMinimalModelSolver(db, p, z)
+            checker = MinimalModelSolver(db, [p], z)
             fresh = [0]
             result = False
             while True:

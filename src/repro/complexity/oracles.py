@@ -26,7 +26,7 @@ from ..logic.formula import Formula, Not
 from ..logic.interpretation import Interpretation
 from ..obs.accounting import observe
 from ..runtime.budget import check_deadline
-from ..sat.minimal import MinimalModelSolver, PZMinimalModelSolver
+from ..sat.minimal import MinimalModelSolver
 
 
 class Sigma2Oracle:
@@ -69,14 +69,9 @@ class Sigma2Oracle:
         check_deadline()
         self.queries += 1
         with observe() as window:
-            if p is None or frozenset(p) == frozenset(db.vocabulary):
-                witness = MinimalModelSolver(db).find_minimal_satisfying(
-                    condition
-                )
-            else:
-                witness = PZMinimalModelSolver(
-                    db, p, z
-                ).find_minimal_satisfying(condition)
+            levels = None if p is None else [p]
+            with MinimalModelSolver(db, levels, z) as solver:
+                witness = solver.find_minimal_satisfying(condition)
         self.inner_sat_calls += window.np_calls
         return witness
 

@@ -25,6 +25,7 @@ This module provides:
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 from ...logic.atoms import Literal
@@ -46,12 +47,9 @@ def has_unique_minimal_model(db: DisjunctiveDatabase) -> bool:
     some model is not a superset of ``M1`` (any such model shrinks to a
     minimal model different from ``M1``).
     """
-    engine = MinimalModelSolver(db)
-    models = engine.iter_minimal_models(max_models=2)
-    first = next(models, None)
-    if first is None:
-        return False  # inconsistent: zero minimal models
-    return next(models, None) is None
+    with MinimalModelSolver(db) as engine:
+        # Zero minimal models means an inconsistent database.
+        return len(list(itertools.islice(engine.iter_minimal_models(), 2))) == 1
 
 
 def unsat_to_uminsat(cnf: Cnf) -> DisjunctiveDatabase:

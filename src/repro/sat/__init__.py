@@ -7,8 +7,9 @@
   selector-guarded scopes, and the process-wide :data:`SOLVER_POOL`.
 * :mod:`repro.sat.decompose` — connected-component decomposition and the
   ``MM`` product law.
-* :mod:`repro.sat.minimal` — minimal-model machinery (``MM(DB)``,
-  ``MM(DB;P;Z)``, prioritized minimality).
+* :mod:`repro.sat.minimal` — :class:`~repro.sat.minimal.MinimalModelSolver`,
+  one solver for the prioritized order ``P1 > ... > Pr; Z`` and its
+  one-level cases ``MM(DB;P;Z)`` and ``MM(DB)``.
 * :mod:`repro.sat.dpll` — reference DPLL solver for cross-validation.
 """
 
@@ -34,8 +35,6 @@ from .incremental import (
 )
 from .minimal import (
     MinimalModelSolver,
-    PrioritizedMinimalModelSolver,
-    PZMinimalModelSolver,
     find_minimal_model,
     is_minimal_model,
     minimal_models,
@@ -80,8 +79,6 @@ __all__ = [
     "release_solver",
     "solver_pool_stats",
     "MinimalModelSolver",
-    "PrioritizedMinimalModelSolver",
-    "PZMinimalModelSolver",
     "find_minimal_model",
     "is_minimal_model",
     "minimal_models",

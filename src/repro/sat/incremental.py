@@ -667,37 +667,3 @@ def pooled_scope(
             yield scope
     finally:
         release_solver(key, solver)
-
-
-# ----------------------------------------------------------------------
-# Batched oracle sweeps
-# ----------------------------------------------------------------------
-def scoped_sweep(
-    solver: IncrementalSatSolver,
-    candidates: Iterable[Any],
-    probe: Callable[[Scope, Any], Any],
-):
-    """Run a per-candidate probe for every candidate in **one** scope.
-
-    The batched form of the ``for atom in vocabulary: open scope, ask``
-    closure loop: a GCWA/CCWA free-for-negation sweep used to issue
-    ``|V|`` independent round trips, each opening (and retiring) its own
-    scope, so learned clauses and blocking clauses derived *inside* a
-    query died with it.  Here all candidates share a single top-level
-    scope on the persistent solver — the probe encodes its candidate as
-    solver *assumptions* instead of scope clauses — so learned-clause
-    state, saved blocking clauses and variable activities accumulate
-    across the entire pass.
-
-    Accounting contract: the probe is expected to tick exactly the NP
-    calls and Σ₂ᵖ dispatches the per-candidate path would have (the call
-    *sites* are unchanged — only scope lifetimes are), so certifier
-    envelopes over a batched sweep are identical to the per-query ones.
-
-    Returns ``{candidate: probe_result}`` in candidate order.
-    """
-    results: Dict[Any, Any] = {}
-    with solver.scope() as searcher:
-        for candidate in candidates:
-            results[candidate] = probe(searcher, candidate)
-    return results

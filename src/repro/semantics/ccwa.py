@@ -25,7 +25,7 @@ from ..logic.interpretation import Interpretation
 from ..models.enumeration import all_models, pz_minimal_models_brute
 from ..sat.enumerate import iter_models
 from ..sat.incremental import pooled_scope
-from ..sat.minimal import PZMinimalModelSolver
+from ..sat.minimal import MinimalModelSolver
 from ..sat.solver import database_is_consistent
 from .ecwa import PartitionedSemantics
 from .base import ground_query, register
@@ -51,8 +51,8 @@ class Ccwa(PartitionedSemantics):
             )
         # One Σ₂ᵖ dispatch per P-atom, asked as a single batched
         # incremental sweep sharing one solver scope.
-        with PZMinimalModelSolver(db, p, z) as solver:
-            return solver.free_p_atoms_sweep()
+        with MinimalModelSolver(db, [p], z) as solver:
+            return solver.free_atoms()
 
     def model_set(
         self, db: DisjunctiveDatabase
@@ -86,7 +86,7 @@ class Ccwa(PartitionedSemantics):
         if not literal.positive and literal.atom in p:
             # ¬x for x ∈ P: exactly the closure test MM(DB;P;Z) |= ¬x
             # (one Σ₂ᵖ-primitive query).
-            with PZMinimalModelSolver(db, p, self.z) as solver:
+            with MinimalModelSolver(db, [p], self.z) as solver:
                 return (
                     solver.find_minimal_satisfying(Var(literal.atom))
                     is None

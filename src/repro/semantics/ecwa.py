@@ -23,7 +23,7 @@ from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from ..models.enumeration import pz_minimal_models_brute
-from ..sat.minimal import PZMinimalModelSolver
+from ..sat.minimal import MinimalModelSolver
 from ..sat.solver import database_is_consistent
 from .base import Semantics, ground_query, register
 
@@ -76,7 +76,7 @@ class Ecwa(PartitionedSemantics):
         p, _q, z = self.partition(db)
         if self.engine == "brute":
             return frozenset(pz_minimal_models_brute(db, p, z))
-        with PZMinimalModelSolver(db, p, z) as solver:
+        with MinimalModelSolver(db, [p], z) as solver:
             return frozenset(solver.iter_minimal_models())
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
@@ -85,7 +85,7 @@ class Ecwa(PartitionedSemantics):
         if self.engine == "brute":
             return super().infers(db, formula)
         p, _q, z = self.partition(db)
-        with PZMinimalModelSolver(db, p, z) as solver:
+        with MinimalModelSolver(db, [p], z) as solver:
             return solver.entails(formula)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:

@@ -51,10 +51,10 @@ def free_for_negation(db: DisjunctiveDatabase) -> FrozenSet[str]:
     """``ff(DB)`` via the Σ₂ᵖ primitive: ``x ∈ ff`` iff no minimal model
     satisfies ``x`` — one Σ₂ᵖ dispatch per atom, asked as a single
     batched incremental sweep (see
-    :meth:`~repro.sat.minimal.MinimalModelSolver.free_for_negation_sweep`)
-    so all |V| candidate literals share one solver scope."""
+    :meth:`~repro.sat.minimal.MinimalModelSolver.free_atoms`) so all |V|
+    candidate atoms share one solver scope."""
     with MinimalModelSolver(db) as engine:
-        return engine.free_for_negation_sweep()
+        return engine.free_atoms()
 
 
 def augmented_database(

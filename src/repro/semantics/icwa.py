@@ -36,7 +36,7 @@ from ..models.enumeration import (
     prioritized_minimal_models_brute,
     pz_minimal_models_brute,
 )
-from ..sat.minimal import PrioritizedMinimalModelSolver
+from ..sat.minimal import MinimalModelSolver
 from .base import Semantics, ground_query, register
 from .stratification import Stratification, require_stratification
 
@@ -136,7 +136,7 @@ class Icwa(Semantics):
             )
         from ..sat.enumerate import iter_models
 
-        with PrioritizedMinimalModelSolver(shifted, levels, self.z) as solver:
+        with MinimalModelSolver(shifted, levels, self.z) as solver:
             return frozenset(
                 m
                 for m in iter_models(shifted, project=shifted.vocabulary)
@@ -151,7 +151,7 @@ class Icwa(Semantics):
                 shifted, levels, self.z
             )
             return all(m.satisfies(formula) for m in models)
-        with PrioritizedMinimalModelSolver(shifted, levels, self.z) as solver:
+        with MinimalModelSolver(shifted, levels, self.z) as solver:
             return solver.entails(formula)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:

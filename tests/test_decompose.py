@@ -23,7 +23,7 @@ from repro.sat.decompose import (
     decompose,
     product_interpretations,
 )
-from repro.sat.minimal import MinimalModelSolver, PZMinimalModelSolver
+from repro.sat.minimal import MinimalModelSolver
 from repro.workloads.families import disjoint_components, disjunctive_chain
 
 
@@ -104,7 +104,7 @@ class TestProductLaw:
         db = disjoint_components(2, component_size=2)
         atoms = sorted(db.vocabulary)
         p, z = frozenset(atoms[:4]), frozenset(atoms[6:])
-        with PZMinimalModelSolver(db, p, z) as solver:
+        with MinimalModelSolver(db, [p], z) as solver:
             from_solver = set(solver.iter_minimal_models())
         assert from_solver == set(
             pz_minimal_models_brute(db, p, z, decompose=False)

@@ -317,6 +317,56 @@ def test_cached_engine_actually_hits():
     assert ENGINE_CACHE.stats()["hits"] == before + 1
 
 
+def _cold_triple(call):
+    """``(answer, NP calls, Σ₂ᵖ dispatches)`` of one call from cold
+    caches and a cold solver pool."""
+    from repro.obs.accounting import observe
+    from repro.sat import clear_solver_pool
+
+    ENGINE_CACHE.clear()
+    clear_solver_pool()
+    with observe() as window:
+        answer = call()
+    return answer, window.np_calls, window.sigma2_dispatches
+
+
+@pytest.mark.parametrize("regime", sorted(COUNTS))
+def test_one_order_one_machine(regime):
+    """EGCWA is ECWA with the default partition, and GCWA's closure is
+    default CCWA's: one solver and one candidate loop serve each pair,
+    so from cold caches they answer with identical NP-call and Σ₂ᵖ
+    counts on every database, not just identical answers."""
+    from repro.semantics.gcwa import free_for_negation
+
+    egcwa, ecwa, ccwa = (
+        get_semantics(name) for name in ("egcwa", "ecwa", "ccwa")
+    )
+    mismatches = []
+    for seed in range(COUNTS[regime]):
+        db = build_db(regime, seed)
+        query = random_query_formula(
+            sorted(db.vocabulary), depth=2, seed=seed
+        )
+        pairs = {
+            "infers": (
+                lambda: egcwa.infers(db, query),
+                lambda: ecwa.infers(db, query),
+            ),
+            "model_set": (
+                lambda: egcwa.model_set(db),
+                lambda: ecwa.model_set(db),
+            ),
+            "closure": (
+                lambda: free_for_negation(db),
+                lambda: ccwa.free_atoms(db),
+            ),
+        }
+        for problem, (left, right) in pairs.items():
+            if _cold_triple(left) != _cold_triple(right):
+                mismatches.append((seed, problem))
+    assert mismatches == []
+
+
 def _check_partitioned(engines) -> None:
     for seed in range(10):
         db = random_positive_db(4, 4, seed=seed)

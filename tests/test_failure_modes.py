@@ -73,18 +73,32 @@ class TestDomainRestrictions:
 
 class TestSolverGuards:
     def test_pz_solver_rejects_bad_partition(self, simple_db):
-        from repro.sat.minimal import PZMinimalModelSolver
+        from repro.sat.minimal import MinimalModelSolver
 
         with pytest.raises(PartitionError):
-            PZMinimalModelSolver(simple_db, p={"a", "nope"}, z=set())
+            MinimalModelSolver(simple_db, [{"a", "nope"}], z=set())
 
     def test_prioritized_solver_rejects_overlap(self, simple_db):
-        from repro.sat.minimal import PrioritizedMinimalModelSolver
+        from repro.sat.minimal import MinimalModelSolver
 
         with pytest.raises(SolverError):
-            PrioritizedMinimalModelSolver(
-                simple_db, levels=[{"a"}, {"a"}]
-            )
+            MinimalModelSolver(simple_db, levels=[{"a"}, {"a"}])
+
+    def test_prioritized_solver_rejects_level_outside_vocabulary(
+        self, simple_db
+    ):
+        from repro.sat.minimal import MinimalModelSolver
+
+        with pytest.raises(PartitionError):
+            MinimalModelSolver(simple_db, levels=[{"a", "nope"}, {"b"}])
+
+    def test_prioritized_solver_rejects_z_outside_vocabulary(
+        self, simple_db
+    ):
+        from repro.sat.minimal import MinimalModelSolver
+
+        with pytest.raises(PartitionError):
+            MinimalModelSolver(simple_db, levels=[{"a"}, {"b"}], z={"zz"})
 
     def test_qbf_engine_typo(self):
         from repro.qbf.formula import dnf_formula, exists_forall

@@ -15,7 +15,7 @@ Four families pin the bitset kernel to the paper's definitions:
   (``reference_models.py``) builds, on seeded and hypothesis-drawn
   databases, and ``all_models`` ticks exactly ``2^|V|`` nodes;
 * **batched sweeps and the supported fast path** —
-  ``free_for_negation_sweep`` matches the brute ``ff(DB)`` closure with
+  ``free_atoms`` matches the brute ``ff(DB)`` closure with
   exactly |V| Σ₂ᵖ dispatches, the PZ sweep matches brute CCWA free
   atoms, and the tight-stratified ``supported`` plan dispatches to
   ``stratified-perfect`` and agrees with brute.
@@ -50,7 +50,7 @@ from repro.models.enumeration import (
     pz_minimal_models_brute,
 )
 from repro.obs.accounting import observe
-from repro.sat.minimal import MinimalModelSolver, PZMinimalModelSolver
+from repro.sat.minimal import MinimalModelSolver
 from repro.semantics import get_semantics
 from repro.semantics.gcwa import free_for_negation_brute
 
@@ -211,7 +211,7 @@ def test_ff_sweep_matches_brute_closure(seed):
     expected = free_for_negation_brute(db)
     with observe() as window:
         with MinimalModelSolver(db) as engine:
-            got = engine.free_for_negation_sweep()
+            got = engine.free_atoms()
     assert got == expected, seed
     # One Σ₂ᵖ dispatch per vocabulary atom — the same count the
     # per-atom closure reported, so certifier envelopes are unchanged.
@@ -224,13 +224,13 @@ def test_ff_sweep_np_calls_beat_per_atom_path_in_aggregate():
     NP-call total over a seed corpus is strictly lower (shared blocks
     and learned clauses; individual databases may differ by a few calls
     either way since the two paths can surface different candidate
-    models to shrink)."""
+    models)."""
     sweep_total = loop_total = 0
     for seed in range(20):
         db = random_small_db(seed, allow_ic=False)
         with observe() as sweep_window:
             with MinimalModelSolver(db) as engine:
-                swept = engine.free_for_negation_sweep()
+                swept = engine.free_atoms()
         with observe() as loop_window:
             with MinimalModelSolver(db) as engine:
                 looped = frozenset(
@@ -254,8 +254,8 @@ def test_pz_sweep_matches_brute_free_atoms(seed):
         a for a in p if not any(a in m for m in models)
     )
     with observe() as window:
-        with PZMinimalModelSolver(db, p, z) as solver:
-            got = solver.free_p_atoms_sweep()
+        with MinimalModelSolver(db, [p], z) as solver:
+            got = solver.free_atoms()
     assert got == expected, seed
     assert window.as_dict()["sigma2_dispatches"] == len(p)
 

@@ -12,8 +12,6 @@ from repro.models.enumeration import (
 )
 from repro.sat.minimal import (
     MinimalModelSolver,
-    PrioritizedMinimalModelSolver,
-    PZMinimalModelSolver,
     find_minimal_model,
     is_minimal_model,
     minimal_models,
@@ -104,7 +102,7 @@ class TestPZMinimal:
     def test_floating_atoms_do_not_matter(self):
         # Minimize a, float z: minimal requires ~a; z free.
         db = parse_database("a | z.")
-        solver = PZMinimalModelSolver(db, p={"a"}, z={"z"})
+        solver = MinimalModelSolver(db, [{"a"}], z={"z"})
         models = {frozenset(m) for m in solver.iter_minimal_models()}
         assert models == {frozenset({"z"}), frozenset({"a", "z"})} or \
             models == {frozenset({"z"})}
@@ -114,7 +112,7 @@ class TestPZMinimal:
 
     def test_fixed_atoms_partition_model_space(self):
         db = parse_database("a | q.")
-        solver = PZMinimalModelSolver(db, p={"a"}, z=set())
+        solver = MinimalModelSolver(db, [{"a"}], z=set())
         # q fixed: for q true, minimal has a false; for q false, a true.
         models = {frozenset(m) for m in solver.iter_minimal_models()}
         assert frozenset({"q"}) in models
@@ -127,7 +125,7 @@ class TestPZMinimal:
         z = set(atoms[1::2][:1])
         fast = {
             frozenset(m)
-            for m in PZMinimalModelSolver(db, p, z).iter_minimal_models()
+            for m in MinimalModelSolver(db, [p], z).iter_minimal_models()
         }
         slow = {frozenset(m) for m in pz_minimal_models_brute(db, p, z)}
         assert fast == slow
@@ -138,7 +136,7 @@ class TestPZMinimal:
         p = set(atoms[:3])
         z = set(atoms[3:4])
         formula = parse_formula("~a | c")
-        fast = PZMinimalModelSolver(db, p, z).entails(formula)
+        fast = MinimalModelSolver(db, [p], z).entails(formula)
         slow = all(
             m.satisfies(formula)
             for m in pz_minimal_models_brute(db, p, z)
@@ -147,7 +145,7 @@ class TestPZMinimal:
 
     def test_is_minimal_depends_only_on_pq_projection(self):
         db = parse_database("a | z. q | a.")
-        solver = PZMinimalModelSolver(db, p={"a"}, z={"z"})
+        solver = MinimalModelSolver(db, [{"a"}], z={"z"})
         # {q} and {q, z} share the P∪Q projection {q}.
         assert solver.is_minimal({"q"}) == solver.is_minimal({"q", "z"})
 
@@ -156,7 +154,7 @@ class TestPrioritizedMinimal:
     def test_lexicographic_preference(self):
         # Minimize a before b: from models of a | b, prefer dropping a.
         db = parse_database("a | b.")
-        solver = PrioritizedMinimalModelSolver(db, levels=[{"a"}, {"b"}])
+        solver = MinimalModelSolver(db, levels=[{"a"}, {"b"}])
         models = {frozenset(m) for m in [solver.shrink({"a"})]}
         assert models == {frozenset({"b"})}
         assert solver.is_minimal({"b"})
@@ -164,21 +162,21 @@ class TestPrioritizedMinimal:
 
     def test_reversed_levels_flip_preference(self):
         db = parse_database("a | b.")
-        solver = PrioritizedMinimalModelSolver(db, levels=[{"b"}, {"a"}])
+        solver = MinimalModelSolver(db, levels=[{"b"}, {"a"}])
         assert solver.is_minimal({"a"})
         assert not solver.is_minimal({"b"})
 
     def test_levels_must_not_overlap(self):
         db = parse_database("a | b.")
         with pytest.raises(Exception):
-            PrioritizedMinimalModelSolver(db, levels=[{"a"}, {"a"}])
+            MinimalModelSolver(db, levels=[{"a"}, {"a"}])
 
     @given(databases())
     def test_matches_brute_force(self, db):
         atoms = sorted(db.vocabulary)
         levels = [set(atoms[:2]), set(atoms[2:4])]
         z = set(atoms[4:5])
-        solver = PrioritizedMinimalModelSolver(db, levels, z)
+        solver = MinimalModelSolver(db, levels, z)
         brute = prioritized_minimal_models_brute(db, levels, z)
         for model in brute:
             assert solver.is_minimal(model)

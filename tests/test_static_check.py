@@ -97,6 +97,39 @@ def test_conp_sigma2_leak_flagged(injected_report):
     assert "_helper_one" in direct.message  # witness path rendered
 
 
+def test_conp_sweep_leak_flagged(injected_report):
+    """A fake coNP (``ddr``-row) semantics calling GCWA's batched
+    ``free_for_negation`` sweep is RPR101 at its ``infers``: the sweep
+    is a direct loop over ``_sweep_witness``, so the graph sees it."""
+    hits = [
+        finding
+        for finding in findings_in(injected_report, "conp_sweep_leak.py")
+        if finding.rule == "RPR101"
+    ]
+    line = marker_line("conp_sweep_leak.py", "def infers")
+    # infers() at its def; the inherited infers_literal() at the class.
+    assert {finding.line for finding in hits} == {
+        marker_line("conp_sweep_leak.py", "class LeakyDdr"), line,
+    }
+    direct = next(finding for finding in hits if finding.line == line)
+    assert "MinimalModelSolver._sweep_witness" in direct.message
+    assert "free_for_negation" in direct.message  # witness path
+
+
+def test_closure_infers_reach_the_sweep_primitive(clean_report):
+    """GCWA's and CCWA's closure inference statically reach the batched
+    sweep's Σ₂ᵖ primitive (one dispatch per atom at run time)."""
+    graph = checker.build_graph()
+    for cls in ("repro.semantics.gcwa.Gcwa", "repro.semantics.ccwa.Ccwa"):
+        start = graph.resolve_method(cls, "infers")
+        reached = graph.reachable(
+            start, self_class=cls, skip_brute=True, skip_fallback=True
+        )
+        assert "repro.sat.minimal.MinimalModelSolver._sweep_witness" in (
+            reached
+        ), cls
+
+
 def test_unguarded_write_fixture(injected_report):
     """Mixed guarded/unguarded mutation: RPR201 for the plain write,
     RPR202 for the read-modify-write, each at the seeded line."""
