@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.complexity.machines import theta_inference
-from repro.engine import parallel_map
 from repro.engine.cache import ENGINE_CACHE
 from repro.logic.atoms import Literal
 from repro.obs.accounting import observe
@@ -96,7 +95,7 @@ def test_tractable_literal_cells_use_no_oracle(benchmark, row):
 
 
 # ----------------------------------------------------------------------
-# Memoizing engine: repeated-suite speedup and parallel fan-out.
+# Memoizing engine: repeated-suite speedup.
 # ----------------------------------------------------------------------
 SUITE_SEEDS = range(6)
 
@@ -143,17 +142,3 @@ def test_cached_repeated_suite_speedup(capsys):
         )
     assert warm * 2 <= cold, (cold, warm)
     assert warm_hits == lookups_per_pass
-
-
-def _build_workload(seed: int):
-    """Module-level suite builder (picklable for the process pool)."""
-    return random_positive_db(ATOMS, CLAUSES, seed=seed)
-
-
-def test_parallel_suite_fanout_matches_serial():
-    """Fanning the suite construction out over the process pool yields
-    exactly the serial suite, in order."""
-    seeds = list(SUITE_SEEDS)
-    serial = [_build_workload(seed) for seed in seeds]
-    fanned = parallel_map(_build_workload, seeds, max_workers=2)
-    assert fanned == serial

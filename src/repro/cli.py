@@ -273,7 +273,6 @@ def _cmd_faults(args) -> int:
         seed=args.seed,
         sat_fault_rate=args.sat_fault_rate,
         latency_ms=args.latency_ms,
-        worker_crash_rate=args.worker_crash_rate,
         max_sat_faults=args.max_sat_faults,
     )
     kwargs = _semantics_kwargs(args)
@@ -736,10 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="injected latency per SAT call",
     )
     faults_cmd.add_argument(
-        "--worker-crash-rate", type=float, default=0.0,
-        help="probability a parallel dispatch crashes",
-    )
-    faults_cmd.add_argument(
         "--max-sat-faults", type=int, default=None,
         help="cap on injected SAT faults ('fail N times, then succeed')",
     )
@@ -989,10 +984,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as error:
+    except (ReproError, FileNotFoundError, ValueError) as error:
+        # ValueError: a constructor rejected a flag value (a negative
+        # budget, a rate outside [0, 1], zero workers).  Exit 1 would
+        # read as a negative verdict.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

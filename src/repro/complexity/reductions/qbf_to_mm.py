@@ -133,10 +133,3 @@ def qbf_to_minimal_entailment(qbf: QBF2) -> MinimalEntailmentInstance:
     return MinimalEntailmentInstance(
         db=DisjunctiveDatabase(clauses), w=W
     )
-
-
-def decode_witness(
-    instance: MinimalEntailmentInstance, model: FrozenSet[str], x_vars
-) -> dict:
-    """Read the outer assignment off a minimal model containing ``w``."""
-    return {x: (x in model) for x in x_vars}

@@ -1,4 +1,4 @@
-"""The evaluation engine: memoization and parallel enumeration.
+"""The evaluation engine: memoization and resilient execution.
 
 Layered between :mod:`repro.logic`/:mod:`repro.models` below and
 :mod:`repro.semantics`/:mod:`repro.session` above:
@@ -9,8 +9,6 @@ Layered between :mod:`repro.logic`/:mod:`repro.models` below and
 * :mod:`repro.engine.cached` — :class:`CachedSemantics`, the
   ``engine="cached"`` façade memoizing ``model_set`` / ``infers`` /
   ``infers_literal`` / ``infers_brave`` / ``has_model``;
-* :mod:`repro.engine.parallel` — process-pool enumeration of ``M(DB)`` /
-  ``MM(DB)`` and generic suite fan-out;
 * :mod:`repro.engine.resilient` — :class:`ResilientSemantics`, the
   ``engine="resilient"`` façade running any engine under a
   :class:`~repro.runtime.budget.Budget` with retry, fallback and
@@ -24,7 +22,6 @@ from .cache import (
     DEFAULT_MAXSIZE,
     ENGINE_CACHE,
     EngineCache,
-    all_models_for,
     cache_stats,
     classical_clauses_for,
     clear_cache,
@@ -32,17 +29,8 @@ from .cache import (
     database_cnf_for,
     minimal_models_for,
     priority_relation_for,
-    pz_minimal_models_for,
 )
 from .cached import CachedSemantics
-from .parallel import (
-    MIN_PARALLEL_ATOMS,
-    default_workers,
-    parallel_all_models,
-    parallel_map,
-    parallel_minimal_models,
-    split_blocks,
-)
 from .resilient import ResilientSemantics, RetryPolicy
 
 #: Engine order of the differential stack.  The brute enumerator comes
@@ -72,21 +60,13 @@ __all__ = [
     "ENGINE_CACHE",
     "EngineCache",
     "CachedSemantics",
-    "MIN_PARALLEL_ATOMS",
     "ResilientSemantics",
     "RetryPolicy",
-    "all_models_for",
     "cache_stats",
     "classical_clauses_for",
     "clear_cache",
     "configure_cache",
     "database_cnf_for",
-    "default_workers",
     "minimal_models_for",
-    "parallel_all_models",
-    "parallel_map",
-    "parallel_minimal_models",
     "priority_relation_for",
-    "pz_minimal_models_for",
-    "split_blocks",
 ]

@@ -1,8 +1,8 @@
 """Process-wide memoization for the evaluation engine.
 
 Every object this layer caches is a *pure function of immutable, hashable
-inputs*: selected-model sets, minimal-model sets, ``(P;Z)``-minimal model
-sets, :class:`~repro.semantics.perf.PriorityRelation` instances, and the
+inputs*: selected-model sets, minimal-model sets,
+:class:`~repro.semantics.perf.PriorityRelation` instances, and the
 classical clause / CNF translations of a database.  The cache is therefore
 transparent — a hit returns exactly the object a recomputation would have
 produced — and safe to share across sessions, semantics instances and
@@ -240,17 +240,6 @@ def priority_relation_for(db):
     return ENGINE_CACHE.get_or_compute("priority_relation", db, build)
 
 
-def all_models_for(db) -> Tuple:
-    """``M(DB)`` by explicit enumeration, memoized."""
-
-    def build():
-        from ..models.enumeration import all_models
-
-        return tuple(all_models(db))
-
-    return ENGINE_CACHE.get_or_compute("all_models", db, build)
-
-
 def minimal_models_for(db) -> Tuple:
     """``MM(DB)`` by explicit enumeration, memoized."""
 
@@ -316,18 +305,3 @@ def query_plan_for(db, inner, method: str, planner=None):
         return build()
     key = (db, inner.name) + inner.cache_params() + (method,)
     return ENGINE_CACHE.get_or_compute("query_plan", key, build)
-
-
-def pz_minimal_models_for(db, p, z) -> Tuple:
-    """``MM(DB; P; Z)`` by explicit enumeration, memoized per partition."""
-    p = frozenset(p)
-    z = frozenset(z)
-
-    def build():
-        from ..models.enumeration import pz_minimal_models_brute
-
-        return tuple(pz_minimal_models_brute(db, p, z))
-
-    return ENGINE_CACHE.get_or_compute(
-        "pz_minimal_models", (db, p, z), build
-    )

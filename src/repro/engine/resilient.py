@@ -7,8 +7,7 @@ gracefully instead of hanging or propagating transient faults.  The
 degradation ladder, in order:
 
 1. **retry with backoff** — a transient fault
-   (:class:`~repro.runtime.faults.FaultInjected`,
-   :class:`~repro.runtime.faults.WorkerCrash`) triggers up to
+   (:class:`~repro.runtime.faults.FaultInjected`) triggers up to
    ``retry.max_retries`` fresh attempts, sleeping an exponentially
    growing delay between them;
 2. **fallback engine** — when the primary keeps faulting, the alternate
@@ -55,13 +54,10 @@ from ..runtime.budget import (
     BudgetExceeded,
     budget_scope,
 )
-from ..runtime.faults import FaultInjected, WorkerCrash
+from ..runtime.faults import FaultInjected
 from ..runtime.outcome import Outcome, Status
 from ..sat.incremental import checkout_token
 from ..semantics.base import Semantics
-
-#: Exception types the retry ladder treats as transient.
-TRANSIENT = (FaultInjected, WorkerCrash)
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ class ResilientSemantics(Semantics):
                 ))
             except BudgetExceeded as exc:
                 return self._timeout(exc, attempts, faults)
-            except TRANSIENT as exc:
+            except FaultInjected as exc:
                 faults += 1
                 last_exc = exc
                 delay = next(delays, None)
@@ -221,9 +217,9 @@ class ResilientSemantics(Semantics):
                 ))
             except BudgetExceeded as exc:
                 return self._timeout(exc, attempts, faults)
-            except TRANSIENT as exc:
+            except FaultInjected as exc:
                 # A fault plan aggressive enough to break even the
-                # fallback (e.g. crash-rate 1.0): report failure.
+                # fallback: report failure.
                 faults += 1
                 last_exc = exc
         return self._record(Outcome(

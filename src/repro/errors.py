@@ -38,16 +38,6 @@ class NotPositiveError(ReproError):
     rule bodies) was applied to a database containing negation."""
 
 
-class InconsistentDatabaseError(ReproError):
-    """An operation that requires at least one (classical) model was
-    applied to an unsatisfiable database."""
-
-
-class NoModelError(ReproError):
-    """A semantics was asked to produce a model but admits none for the
-    given database (e.g. DSM on a database without stable models)."""
-
-
 class PartitionError(ReproError):
     """An invalid ``(P; Q; Z)`` partition of the vocabulary was supplied
     (overlapping blocks, atoms outside the vocabulary, or missing atoms)."""

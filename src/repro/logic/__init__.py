@@ -12,7 +12,6 @@ from .clause import Clause
 from .cnf import (
     Cnf,
     CnfClause,
-    clause_to_cnf,
     cnf_atoms,
     database_to_cnf,
     formula_to_cnf_naive,
@@ -73,7 +72,6 @@ __all__ = [
     "Clause",
     "Cnf",
     "CnfClause",
-    "clause_to_cnf",
     "cnf_atoms",
     "database_to_cnf",
     "formula_to_cnf_naive",

@@ -20,7 +20,6 @@ import itertools
 from typing import FrozenSet, Iterable, List, Tuple
 
 from .atoms import Literal
-from .clause import Clause
 from .database import DisjunctiveDatabase
 from .formula import (
     And,
@@ -55,11 +54,6 @@ def database_to_cnf(db: DisjunctiveDatabase) -> Cnf:
     from ..engine.cache import database_cnf_for
 
     return list(database_cnf_for(db))
-
-
-def clause_to_cnf(clause: Clause) -> CnfClause:
-    """The classical clause form of one database clause."""
-    return frozenset(clause.to_classical_literals())
 
 
 def _is_tautological(clause: "frozenset[Literal]") -> bool:

@@ -45,52 +45,11 @@ def all_models(db: DisjunctiveDatabase) -> List[Interpretation]:
     return out
 
 
-def models_in_block(
-    db: DisjunctiveDatabase,
-    fixed_true: Iterable[str] = (),
-    fixed_false: Iterable[str] = (),
-) -> List[Interpretation]:
-    """The classical models extending a partial assignment.
-
-    Enumerates the ``2^|free|`` interpretations that make ``fixed_true``
-    true and ``fixed_false`` false (the remaining vocabulary atoms are
-    free), in binary-counter order over the free atoms.  This is the
-    per-worker unit of the block-parallel enumerator in
-    :mod:`repro.engine.parallel`; fixing nothing recovers
-    :func:`all_models`.
-    """
-    base = frozenset(fixed_true)
-    fixed = base | frozenset(fixed_false)
-    free = sorted(frozenset(db.vocabulary) - fixed)
-    packed = packed_database_for(db)
-    table = packed.table
-    base_mask = table.pack(base)
-    free_bits = [table.bit(a) for a in free]
-    out = []
-    for counter in range(1 << len(free)):
-        note_nodes(1)
-        candidate = base_mask
-        for i, bit in enumerate(free_bits):
-            if counter >> i & 1:
-                candidate |= bit
-        if packed.is_model(candidate):
-            out.append(table.unpack(candidate))
-    return out
-
-
-def _rank_order(
-    db: DisjunctiveDatabase, models: Iterable[Interpretation]
-) -> List[Interpretation]:
-    """Models in the binary-counter order of the serial enumerator: the
-    sort key is the packed mask over the database's atom table."""
-    return sorted(models, key=atom_table_for(db).pack)
-
-
 def _product_in_rank_order(
     db: DisjunctiveDatabase, per_part: Sequence[List[Interpretation]]
 ) -> List[Interpretation]:
     """The decomposition product of per-component model lists, in the
-    serial enumerator's order."""
+    enumerator's binary-counter order."""
     table = atom_table_for(db)
     part_masks = [[table.pack(m) for m in models] for models in per_part]
     return [

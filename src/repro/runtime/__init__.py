@@ -10,7 +10,7 @@ cooperative tick hooks:
   :class:`BudgetScope`, the typed :class:`BudgetExceeded`, and the
   process-wide :data:`RUNTIME_STATS` counters;
 * :mod:`repro.runtime.faults` — seeded, deterministic :class:`FaultPlan`
-  injection of latency, transient SAT faults and worker crashes;
+  injection of latency and transient SAT faults;
 * :mod:`repro.runtime.outcome` — the structured :class:`Outcome` /
   :class:`Status` the resilient engine returns instead of hanging.
 
@@ -36,10 +36,7 @@ from ..obs.accounting import note_np_call
 from .faults import (
     FaultInjected,
     FaultPlan,
-    WorkerCrash,
-    current_fault_plan,
     fault_plan,
-    maybe_crash_worker,
     maybe_fault_sat_call,
 )
 from .outcome import Outcome, Status
@@ -73,13 +70,10 @@ __all__ = [
     "ResourceUsage",
     "RuntimeStats",
     "Status",
-    "WorkerCrash",
     "budget_scope",
     "check_deadline",
-    "current_fault_plan",
     "current_scope",
     "fault_plan",
-    "maybe_crash_worker",
     "maybe_fault_sat_call",
     "note_nodes",
     "note_sat_call",

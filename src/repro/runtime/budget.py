@@ -145,8 +145,6 @@ _RUNTIME_FIELDS = (
     "budgets_exceeded",
     "sat_faults_injected",
     "latency_injections",
-    "worker_crashes_injected",
-    "worker_crashes_recovered",
     "retries",
     "fallbacks",
     "timeouts",
@@ -263,12 +261,6 @@ class BudgetScope:
             sat_calls=self.sat_calls,
             nodes=self.nodes,
         )
-
-    def remaining_ms(self) -> Optional[float]:
-        """Wall-clock milliseconds left, or ``None`` when unbounded."""
-        if self.budget.wall_ms is None:
-            return None
-        return max(0.0, self.budget.wall_ms - self.elapsed_ms())
 
     # ------------------------------------------------------------------
     def _trip(self, resource: str) -> None:

@@ -1,24 +1,20 @@
 """Deterministic fault injection.
 
 A :class:`FaultPlan` turns the failure modes a production deployment
-actually sees — slow oracle calls, transient solver errors, crashed pool
-workers — into *reproducible, in-process* events, so every degradation
-path of the resilient engine is testable without real flakiness:
+actually sees — slow oracle calls and transient solver errors — into
+*reproducible, in-process* events, so every degradation path of the
+resilient engine is testable without real flakiness:
 
 * **latency** — a seeded fraction of SAT calls sleeps ``latency_ms``
   before running (burns wall-clock budget, exercising deadlines);
 * **transient SAT faults** — a seeded fraction of SAT calls raises
-  :class:`FaultInjected` instead of solving (exercising retry/backoff);
-* **worker crashes** — a seeded fraction of parallel-enumeration block
-  dispatches raises :class:`WorkerCrash`; the pool layer recovers the
-  block serially in the parent (exercising the degraded-parallelism
-  path).
+  :class:`FaultInjected` instead of solving (exercising retry/backoff).
 
 Every decision is drawn from an *independent* seeded stream per channel
 (``random.Random(f"{seed}:sat")`` etc., the :mod:`repro.workloads.
-random_db` convention), so the sat-fault sequence does not depend on how
-many worker dispatches interleave with it: a plan's behaviour is a pure
-function of its seed and each channel's call ordinal.
+random_db` convention), so the sat-fault sequence does not depend on
+whether latency is injected too: a plan's behaviour is a pure function
+of its seed and each channel's call ordinal.
 
 Plans install with :func:`fault_plan` (a context manager) and are
 consulted by the same hooks that tick budgets; with no plan active the
@@ -42,11 +38,6 @@ class FaultInjected(ReproError):
     resilient engine treats it as retryable."""
 
 
-class WorkerCrash(ReproError):
-    """An injected parallel-worker crash for one enumeration block or
-    map item; the pool layer recovers the lost work serially."""
-
-
 class FaultPlan:
     """A seeded, deterministic fault-injection schedule.
 
@@ -57,8 +48,6 @@ class FaultPlan:
         latency_ms: sleep injected into selected SAT calls.
         latency_rate: probability a SAT call receives the latency
             (defaults to 1.0 when ``latency_ms`` is set, else 0).
-        worker_crash_rate: probability one parallel block/item dispatch
-            raises :class:`WorkerCrash`.
         max_sat_faults: cap on injected SAT faults (``None`` = unlimited);
             with ``sat_fault_rate=1.0`` this makes "fails exactly N times
             then succeeds" schedules for retry tests.
@@ -71,34 +60,28 @@ class FaultPlan:
         sat_fault_rate: float = 0.0,
         latency_ms: float = 0.0,
         latency_rate: Optional[float] = None,
-        worker_crash_rate: float = 0.0,
         max_sat_faults: Optional[int] = None,
         sleeper: Callable[[float], None] = time.sleep,
     ):
-        for name, rate in (
-            ("sat_fault_rate", sat_fault_rate),
-            ("worker_crash_rate", worker_crash_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        if not 0.0 <= sat_fault_rate <= 1.0:
+            raise ValueError(
+                f"sat_fault_rate must be in [0, 1], got {sat_fault_rate}"
+            )
         if latency_rate is None:
             latency_rate = 1.0 if latency_ms > 0 else 0.0
         self.seed = seed
         self.sat_fault_rate = sat_fault_rate
         self.latency_ms = latency_ms
         self.latency_rate = latency_rate
-        self.worker_crash_rate = worker_crash_rate
         self.max_sat_faults = max_sat_faults
         self._sleeper = sleeper
         # Independent streams: each channel's decisions depend only on
         # the seed and that channel's own call ordinal.
         self._sat_rng = random.Random(f"{seed}:sat")
         self._latency_rng = random.Random(f"{seed}:latency")
-        self._worker_rng = random.Random(f"{seed}:worker")
         self.sat_calls_seen = 0
         self.sat_faults = 0
         self.latency_injections = 0
-        self.worker_crashes = 0
 
     # ------------------------------------------------------------------
     def on_sat_call(self) -> None:
@@ -128,17 +111,6 @@ class FaultPlan:
                 f"(seed {self.seed}, call {self.sat_calls_seen})"
             )
 
-    def crash_worker(self) -> bool:
-        """Whether the next parallel block/item dispatch should crash
-        (one seeded draw per dispatch, counted when it crashes)."""
-        if self.worker_crash_rate <= 0:
-            return False
-        if self._worker_rng.random() < self.worker_crash_rate:
-            self.worker_crashes += 1
-            RUNTIME_STATS.inc("worker_crashes_injected")
-            return True
-        return False
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Per-plan injection counters as a flat dict."""
@@ -146,14 +118,12 @@ class FaultPlan:
             "sat_calls_seen": self.sat_calls_seen,
             "sat_faults": self.sat_faults,
             "latency_injections": self.latency_injections,
-            "worker_crashes": self.worker_crashes,
         }
 
     def __repr__(self) -> str:
         return (
             f"FaultPlan(seed={self.seed}, sat_fault_rate={self.sat_fault_rate}, "
-            f"latency_ms={self.latency_ms}, "
-            f"worker_crash_rate={self.worker_crash_rate})"
+            f"latency_ms={self.latency_ms})"
         )
 
 
@@ -177,21 +147,9 @@ def fault_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
         _ACTIVE_PLAN.reset(token)
 
 
-def current_fault_plan() -> Optional[FaultPlan]:
-    """The active plan, or ``None``."""
-    return _ACTIVE_PLAN.get()
-
-
 def maybe_fault_sat_call() -> None:
     """Hook for the SAT layer: apply the active plan's per-call faults
     (no-op when no plan is installed)."""
     plan = _ACTIVE_PLAN.get()
     if plan is not None:
         plan.on_sat_call()
-
-
-def maybe_crash_worker() -> bool:
-    """Hook for the pool layer: whether the active plan crashes the next
-    dispatch (``False`` when no plan is installed)."""
-    plan = _ACTIVE_PLAN.get()
-    return plan is not None and plan.crash_worker()

@@ -613,9 +613,3 @@ class CdclSolver:
         """Snapshots of the currently retained learned clauses (each is
         a logical consequence of the input clauses — property-tested)."""
         return [list(clause.literals) for clause in self._learned]
-
-    def model_value(self, var: int) -> bool:
-        """Truth of ``var`` in the last model (unknown vars count false)."""
-        if self._stored_model is None:
-            raise SolverError("no model available; call solve() first")
-        return var in self._stored_model

@@ -37,10 +37,6 @@ class SimplificationResult:
     fixed: FrozenSet[Literal]
     unsatisfiable: bool
 
-    @property
-    def fixed_atoms(self) -> FrozenSet[str]:
-        return frozenset(l.atom for l in self.fixed)
-
 
 def unit_propagate(cnf: Cnf) -> Tuple[Cnf, Set[Literal], bool]:
     """Propagate unit clauses to fixpoint.

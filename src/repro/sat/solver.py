@@ -17,7 +17,6 @@ from typing import Dict, Iterable, Optional
 from ..errors import SolverError
 from ..logic.atoms import Literal
 from ..runtime import observe_sat_call
-from ..logic.clause import Clause
 from ..logic.cnf import Cnf, tseitin
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula
@@ -73,10 +72,6 @@ class SatSolver:
             self._core.ensure_var(self.variables.number(atom))
         for literals in classical_clauses_for(db):
             self.add_clause(literals)
-
-    def add_database_clause(self, clause: Clause) -> None:
-        """Assert one database clause."""
-        self.add_clause(clause.to_classical_literals())
 
     def add_formula(self, formula: Formula, positive: bool = True) -> None:
         """Assert ``formula`` (or its negation) via Tseitin encoding.

@@ -60,10 +60,6 @@ class VariableMap:
         number = self.intern(literal.atom)
         return number if literal.positive else -number
 
-    def symbolic_literal(self, int_literal: int) -> Literal:
-        """Decode an integer literal to a symbolic literal."""
-        return Literal(self.atom(int_literal), int_literal > 0)
-
     def atoms(self) -> List[str]:
         """All interned atoms in allocation order."""
         return list(self._by_number)

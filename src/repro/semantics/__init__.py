@@ -51,7 +51,7 @@ from .supported import (
     is_supported_model,
     is_tight,
 )
-from .wfs import well_founded_entails, well_founded_model
+from .wfs import well_founded_model
 from .explain import (
     ClosureExplanation,
     CounterModelCertificate,
@@ -137,7 +137,6 @@ __all__ = [
     "clark_completion",
     "is_supported_model",
     "is_tight",
-    "well_founded_entails",
     "well_founded_model",
     "disjunctive_state",
     "minimal_state_atoms",

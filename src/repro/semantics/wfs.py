@@ -84,8 +84,3 @@ def well_founded_model(
         true_atoms = next_true
     possible = gamma(db, true_atoms)
     return ThreeValuedInterpretation(true_atoms, possible)
-
-
-def well_founded_entails(db: DisjunctiveDatabase, formula) -> bool:
-    """Degree-1 truth of ``formula`` in the well-founded model."""
-    return well_founded_model(db).satisfies(formula)

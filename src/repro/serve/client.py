@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..runtime.budget import Budget
 
@@ -247,8 +247,3 @@ class ServeClient:
     def healthz(self) -> ServeResponse:
         return self.request("GET", "/healthz")
 
-
-def parse_address(address: str) -> Tuple[str, int]:
-    """``"host:port"`` → ``(host, port)``."""
-    host, _, port = address.rpartition(":")
-    return host or "127.0.0.1", int(port)

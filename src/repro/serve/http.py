@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 #: Upper bound on the request-line + header block, bytes.
@@ -202,10 +202,3 @@ async def write_response(
     writer.write(response.encode(keep_alive=keep_alive))
     await writer.drain()
 
-
-def split_host_port(address: str) -> Tuple[str, int]:
-    """``"host:port"`` → ``(host, port)`` (CLI/bench convenience)."""
-    host, sep, port = address.rpartition(":")
-    if not sep:
-        raise ValueError(f"expected host:port, got {address!r}")
-    return host, int(port)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from ..obs import trace as _trace
 from ..runtime.budget import Budget
@@ -226,21 +226,6 @@ class ReproServer:
         )
 
 
-async def serve_forever(
-    server: ReproServer, ready: Optional[threading.Event] = None
-) -> None:
-    """Start ``server`` and block until cancelled (the CLI path)."""
-    await server.start()
-    if ready is not None:
-        ready.set()
-    try:
-        await asyncio.Event().wait()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()
-
-
 def run_server(
     service: Optional[QueryService] = None,
     host: str = "127.0.0.1",
@@ -344,7 +329,3 @@ class BackgroundServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-
-def stats_snapshot(service: QueryService) -> Dict[str, Any]:
-    """Convenience re-export for benches and tests."""
-    return service.stats()

@@ -54,7 +54,7 @@ from ..obs.accounting import observe
 from ..obs.certify import DEFAULT_CERTIFIER, Certifier
 from ..obs.metrics import METRICS
 from ..runtime.budget import Budget, BudgetExceeded, budget_scope
-from ..runtime.faults import FaultInjected, FaultPlan, WorkerCrash, fault_plan
+from ..runtime.faults import FaultInjected, FaultPlan, fault_plan
 from ..sat.incremental import checkout_token, solver_pool_stats
 from ..semantics import resolve_name
 from ..semantics.base import check_engine
@@ -567,7 +567,7 @@ class QueryService:
                 status, payload, headers = (
                     error.status, response.payload, dict(response.headers)
                 )
-            except (FaultInjected, WorkerCrash) as exc:
+            except FaultInjected as exc:
                 error = HttpError(
                     503, "transient", f"transient fault: {exc}",
                     retry_after=RETRY_AFTER_S,

@@ -34,8 +34,6 @@ from ..complexity.reductions import (
     qbf_to_perf_existence,
     unsat_to_ddr_formula,
     unsat_to_ddr_literal,
-    unsat_to_uminsat,
-    has_unique_minimal_model,
 )
 from ..complexity.verify import ReductionReport, check_reduction
 from ..logic.atoms import Literal
@@ -354,16 +352,6 @@ def _ddr_literal_hardness(count: int, semantics: str) -> ReductionReport:
         _cnf_instances(count),
         lambda cnf: not is_satisfiable(cnf),
         decide,
-        describe=lambda cnf: f"cnf({len(cnf)} clauses)",
-    )
-
-
-def _uminsat_hardness(count: int) -> ReductionReport:
-    return check_reduction(
-        "UNSAT → UMINSAT (Prop. 5.4)",
-        _cnf_instances(count),
-        lambda cnf: not is_satisfiable(cnf),
-        lambda cnf: has_unique_minimal_model(unsat_to_uminsat(cnf)),
         describe=lambda cnf: f"cnf({len(cnf)} clauses)",
     )
 

@@ -113,3 +113,26 @@ class TestGroundCommand:
 
 def test_missing_file_returns_two():
     assert main(["solve", "/nonexistent/file.ddb"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["query", "{db}", "-q", "c", "--timeout-ms", "-5"], "wall_ms"),
+        (["query", "{db}", "-q", "c", "--max-sat-calls", "-1"],
+         "max_sat_calls"),
+        (["faults", "--sat-fault-rate", "1.5"], "sat_fault_rate"),
+        (["faults", "--retries", "-1"], "max_retries"),
+        (["serve", "--workers", "0"], "workers"),
+    ],
+    ids=["timeout-ms", "max-sat-calls", "sat-fault-rate", "retries",
+         "workers"],
+)
+def test_rejected_flag_value_returns_two(argv, message, db_file, capsys):
+    """A flag value a constructor rejects is a usage error (exit 2, one
+    ``error:`` line), not a negative verdict (exit 1) with a traceback."""
+    argv = [arg.format(db=db_file) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1

@@ -2,31 +2,18 @@
 
 Covers the cache-key discipline (structural sharing, partition
 separation), the LRU eviction bound, the exactness of the hit/miss
-accounting, and the parallel enumeration paths.
+accounting, and the no-poison guarantee under budget trips and faults.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    CachedSemantics,
-    EngineCache,
-    parallel_all_models,
-    parallel_map,
-    parallel_minimal_models,
-    split_blocks,
-)
+from repro.engine import CachedSemantics, EngineCache
 from repro.engine.cache import ENGINE_CACHE
 from repro.errors import ReproError
 from repro.logic.parser import parse_database, parse_formula
-from repro.models.enumeration import (
-    all_models,
-    minimal_models_brute,
-    models_in_block,
-)
 from repro.semantics import get_semantics
-from repro.workloads import random_positive_db
 
 
 def fresh_cached(name: str, cache: EngineCache, **kwargs) -> CachedSemantics:
@@ -229,56 +216,8 @@ class TestCounters:
 
 
 # ----------------------------------------------------------------------
-# Parallel enumeration
+# No poisoned entries
 # ----------------------------------------------------------------------
-class TestParallel:
-    def test_split_blocks_partition_the_space(self):
-        blocks = split_blocks(["a", "b", "c"], 4)
-        assert len(blocks) == 4
-        fixed = {frozenset(ft) for ft, _ in blocks}
-        assert len(fixed) == 4  # all distinct assignments
-
-    def test_models_in_block_fixing_nothing_is_all_models(self):
-        db = random_positive_db(4, 5, seed=3)
-        assert models_in_block(db) == all_models(db)
-
-    def test_blocks_union_to_all_models(self):
-        db = random_positive_db(5, 6, seed=1)
-        union = []
-        for ft, ff in split_blocks(db.vocabulary, 4):
-            union.extend(models_in_block(db, ft, ff))
-        assert sorted(map(sorted, union)) == sorted(
-            map(sorted, all_models(db))
-        )
-
-    def test_parallel_all_models_matches_serial(self):
-        db = random_positive_db(10, 11, seed=2)
-        assert parallel_all_models(db, max_workers=2) == all_models(db)
-
-    def test_parallel_minimal_models_matches_serial(self):
-        db = random_positive_db(10, 11, seed=2)
-        assert set(parallel_minimal_models(db, max_workers=2)) == set(
-            minimal_models_brute(db)
-        )
-
-    def test_serial_fallback_below_threshold(self):
-        db = random_positive_db(4, 5, seed=4)
-        assert parallel_all_models(db, max_workers=4) == all_models(db)
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(12))
-        assert parallel_map(_square, items, max_workers=2) == [
-            i * i for i in items
-        ]
-        assert parallel_map(_square, items, max_workers=1) == [
-            i * i for i in items
-        ]
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
 class TestNoPoisonOnCancellation:
     """A computation cut off by a budget trip or an injected fault must
     never leave a (partial or wrong) entry behind in the cache."""

@@ -9,8 +9,7 @@ Pinned claims:
 * the per-channel streams are independent: enabling latency does not
   shift which SAT calls fault;
 * every rung of the ladder is reachable and deterministic: retry →
-  success, fallback → DEGRADED, no fallback → FAILED, crash-injected
-  parallel dispatches → serial recovery with exact answers;
+  success, fallback → DEGRADED, no fallback → FAILED;
 * with **no faults injected**, ``engine="resilient"`` is answer-identical
   to ``engine="oracle"`` across the full seeded differential corpus.
 """
@@ -19,11 +18,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.parallel import MIN_PARALLEL_ATOMS, parallel_all_models
 from repro.engine.resilient import ResilientSemantics, RetryPolicy
 from repro.logic.atoms import Literal
 from repro.logic.parser import parse_database, parse_formula
-from repro.models.enumeration import all_models
 from repro.runtime import (
     RUNTIME_STATS,
     FaultInjected,
@@ -32,7 +29,7 @@ from repro.runtime import (
     fault_plan,
 )
 from repro.semantics import get_semantics
-from repro.workloads import random_positive_db, random_query_formula
+from repro.workloads import random_query_formula
 
 from test_differential import COUNTS, SEMANTICS_FOR, build_db
 
@@ -186,25 +183,6 @@ class TestLadder:
         with fault_plan(FaultPlan(seed=0, sat_fault_rate=1.0)):
             semantics.run("infers", db, parse_formula(QUERY_TEXT))
         assert delays == [0.010, 0.030]  # exponential, in seconds
-
-    def test_crashed_parallel_dispatches_recovered_serially(self):
-        db = random_positive_db(MIN_PARALLEL_ATOMS, 8, seed=7)
-        expected = all_models(db)
-        with fault_plan(FaultPlan(seed=2, worker_crash_rate=1.0)):
-            recovered = parallel_all_models(db, max_workers=2)
-        assert recovered == expected
-        assert RUNTIME_STATS.worker_crashes_injected > 0
-        assert (
-            RUNTIME_STATS.worker_crashes_recovered
-            == RUNTIME_STATS.worker_crashes_injected
-        )
-
-    def test_partial_crash_rate_recovers_exactly(self):
-        db = random_positive_db(MIN_PARALLEL_ATOMS, 8, seed=8)
-        expected = all_models(db)
-        with fault_plan(FaultPlan(seed=9, worker_crash_rate=0.5)):
-            recovered = parallel_all_models(db, max_workers=2)
-        assert recovered == expected
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Covers the tentpole's cross-cutting guarantees:
 
-* span nesting — session → semantics → engine wrappers, and the
-  parent-side span of parallel enumeration;
+* span nesting — session → semantics → engine wrappers;
 * the metrics registry — registration semantics, label families, the
   Prometheus-style text exposition, pull collectors;
 * the no-op hot path — **proved allocation-free with construction
@@ -74,26 +73,6 @@ def test_engine_wrapper_spans_nest_inside_entry_point():
     assert root.attributes["engine"] == "cached"
     inner = [c for c in root.children if c.name == "semantics.has_model"]
     assert inner and inner[0].attributes["engine"] == "oracle"
-
-
-def test_parallel_enumeration_emits_parent_side_span():
-    from repro.engine.parallel import parallel_all_models
-    from repro.models.enumeration import all_models
-    from repro.workloads import random_positive_db
-
-    db = random_positive_db(10, 6, seed=3)
-    tracer = Tracer()
-    with use_tracer(tracer):
-        merged = parallel_all_models(db, max_workers=2)
-    assert {frozenset(m) for m in merged} == {
-        frozenset(m) for m in all_models(db)
-    }
-    spans = [
-        r for r in tracer.finished_roots() if r.name == "parallel.all_models"
-    ]
-    assert len(spans) == 1
-    assert spans[0].attributes["workers"] == 2
-    assert spans[0].attributes["models"] == len(merged)
 
 
 def test_span_records_error_event_and_reraises():

@@ -212,19 +212,6 @@ class TestRightLayer:
             solve_dpll(php_clauses(4, 3))
         assert scope.nodes > 0
 
-    def test_parallel_goes_serial_under_budget(self):
-        from repro.engine.parallel import parallel_all_models
-        from repro.models.enumeration import all_models
-
-        db = random_positive_db(10, 8, seed=3)
-        with budget_scope(Budget()) as scope:
-            governed = parallel_all_models(db, max_workers=4)
-        # The serial path ran (nodes were ticked in-process) and the
-        # answer matches the serial enumerator exactly.
-        assert scope.nodes >= 2 ** 10
-        assert governed == all_models(db)
-
-
 # ----------------------------------------------------------------------
 # Deadline acceptance: cut off within 2x the requested wall clock
 # ----------------------------------------------------------------------
