@@ -90,7 +90,7 @@ def test_model_existence(benchmark, row):
     assert answer == expected
     if row == "icwa":
         assert window.np_calls == 0, "ICWA existence is O(1) given strata"
-    elif row in ("gcwa", "egcwa", "ccwa", "ecwa", "circ", "ddr", "pws"):
+    elif row in ("gcwa", "egcwa", "ccwa", "ecwa", "ddr", "pws"):
         assert window.np_calls <= 1, "NP cell must be a single oracle call"
     benchmark(semantics.has_model, db)
 

@@ -78,11 +78,11 @@ def main() -> None:
         print(f"ECWA infers not {atom}: ",
               ecwa.infers_literal(db, "not " + atom))
 
-    # Circumscription gives the same answers (CIRC = ECWA, paper Sec 3.3).
+    # Circumscription is the same semantics (CIRC = ECWA, paper Sec 3.3):
+    # the registry resolves "circ" to ECWA itself.
     circ = get_semantics("circ", p=faults, z=floating)
-    agreement = circ.model_set(db) == diagnoses
     print()
-    print("Circumscription agrees with ECWA:", agreement)
+    print("circ resolves to:", circ.name.upper())
 
 
 if __name__ == "__main__":

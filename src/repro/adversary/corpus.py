@@ -24,8 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..logic.database import DisjunctiveDatabase
 from ..logic.serialize import database_from_dict, database_to_dict

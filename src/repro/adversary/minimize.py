@@ -24,8 +24,8 @@ database may leave the syntactic class the predicate's semantics needs);
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 from ..logic.clause import Clause
 from ..logic.database import DisjunctiveDatabase

@@ -32,10 +32,10 @@ trichotomy boundary classes of Truszczyński (PAPERS.md, arXiv
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.fragment import FragmentProfile, fragment_profile
+from ..analysis.fragment import FragmentProfile
 from ..logic.clause import Clause
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import (
@@ -54,14 +54,14 @@ from ..logic.transform import rename_atoms, shift_negation_to_head
 
 #: Every registered paper semantics the differential stack exercises.
 ALL_SEMANTICS: Tuple[str, ...] = (
-    "gcwa", "ccwa", "egcwa", "ecwa", "circ", "ddr", "pws", "perf",
-    "icwa", "dsm", "pdsm",
+    "gcwa", "ccwa", "egcwa", "ecwa", "ddr", "pws", "perf", "icwa",
+    "dsm", "pdsm",
 )
 
 #: Semantics whose selected models are a function of the *classical*
 #: model set alone (minimal / (P;Z)-minimal models of ``Mod(DB)``).
 #: Any transformation preserving classical models preserves these.
-MODEL_BASED: Tuple[str, ...] = ("gcwa", "ccwa", "egcwa", "ecwa", "circ")
+MODEL_BASED: Tuple[str, ...] = ("gcwa", "ccwa", "egcwa", "ecwa")
 
 
 def rename_formula(formula: Formula, mapping: Dict[str, str]) -> Formula:
@@ -267,7 +267,7 @@ class TautologyPadMutator(Mutator):
 
     The new clause is classically valid, so over the widened vocabulary
     every model merely chooses ``x`` freely — and every minimization
-    (GCWA/EGCWA/CCWA/ECWA/CIRC with default partitions, DDR's
+    (GCWA/EGCWA/CCWA/ECWA with default partitions, DDR's
     derivability, PWS split programs, PERF/ICWA strata, DSM reducts,
     PDSM's 3-valued minimality) drives ``x`` to false.  Answers to
     queries over the *original* vocabulary are therefore unchanged under
@@ -293,7 +293,7 @@ class ComponentCloneMutator(Mutator):
     By the connected-component product law (:mod:`repro.sat.decompose`)
     the selected models of ``DB ⊎ DB'`` are exactly the products of the
     parts' selected models, for every semantics whose selection
-    relation is pointwise (all eleven here: minimality, stability,
+    relation is pointwise (all ten here: minimality, stability,
     perfection and possible-model selection all factor over disjoint
     vocabularies).  The clone is consistent exactly when the original
     is, so for queries over the original vocabulary both cautious
@@ -562,7 +562,7 @@ def applicable_semantics(db: DisjunctiveDatabase) -> Tuple[str, ...]:
     """
     from ..engine.cache import stratification_for
 
-    names: List[str] = ["gcwa", "ccwa", "egcwa", "ecwa", "circ", "dsm", "pdsm"]
+    names: List[str] = ["gcwa", "ccwa", "egcwa", "ecwa", "dsm", "pdsm"]
     if not db.has_negation:
         names += ["ddr", "pws"]
     stratified = stratification_for(db) is not None

@@ -91,15 +91,15 @@ _KERNEL_BIT_CAP = 26
 #: default partition.  See the planner module docstring for exclusions.
 HORN_COLLAPSE: FrozenSet[str] = frozenset(
     {
-        "cwa", "gcwa", "ddr", "pws", "egcwa", "ccwa", "ecwa", "circ",
-        "icwa", "perf", "dsm",
+        "cwa", "gcwa", "ddr", "pws", "egcwa", "ccwa", "ecwa", "icwa",
+        "perf", "dsm",
     }
 )
 
 #: Semantics whose cautious/brave inference is plain minimal-model
 #: entailment on head-cycle-free deductive databases (default partition).
 MM_REDUCIBLE: FrozenSet[str] = frozenset(
-    {"egcwa", "ecwa", "circ", "icwa", "dsm", "perf"}
+    {"egcwa", "ecwa", "icwa", "dsm", "perf"}
 )
 
 #: Semantics whose inference is classical entailment from the
@@ -269,9 +269,9 @@ class CostModel:
         ``infers_literal`` is priced at the single-dispatch reduction
         (both polarities for GCWA, the negative-literal closure test for
         CCWA — CCWA *positive* literals route through the full closure
-        and can exceed the estimate), and ``model_set`` /
-        circumscriptive ``has_model`` are enumerative order-of-magnitude
-        bounds, documented as outside the calibration band.
+        and can exceed the estimate), and ``model_set`` is an
+        enumerative order-of-magnitude bound, documented as outside the
+        calibration band.
         """
         s = self.sigma2_search_np(profile)
         strata_extra = float(max(0, profile.strata - 1))
@@ -280,20 +280,6 @@ class CostModel:
                 return self._estimate(
                     DEFAULT_PROCEDURE, 0.0, 0.0, 0.0,
                     "positive database: model existence is trivial",
-                )
-            if semantics == "circ":
-                # Circumscriptive model existence enumerates candidate
-                # models; order-of-magnitude only.
-                blowup = float(
-                    2 ** min(
-                        profile.disjunctive_clauses
-                        + profile.clauses_with_negation + 1,
-                        14,
-                    )
-                )
-                return self._estimate(
-                    DEFAULT_PROCEDURE, blowup, 0.0, blowup,
-                    "circumscriptive model existence (enumerative)",
                 )
             # Measured on the differential corpus: existence checks
             # settle in 0–2 SAT calls regardless of how much negation
@@ -331,7 +317,7 @@ class CostModel:
                 "one Σ₂ᵖ minimal-witness query (negative-literal "
                 "closure test)",
             )
-        # MM-entailment family (egcwa/ecwa/circ/dsm) and the stratified
+        # MM-entailment family (egcwa/ecwa/dsm) and the stratified
         # iterators (icwa/perf) — one dispatch, plus a stratum term.
         dispatches = 1.0 if semantics in ("egcwa", "ecwa", "icwa") else 0.0
         return self._estimate(
@@ -428,13 +414,7 @@ class CostModel:
                         "+ one classical entailment call",
                     )
                 )
-        # ``circ`` is excluded: its brute engine minimizes via SAT
-        # probes even on small databases, so the zero-oracle-call
-        # estimate below would misprice it.
-        kernel_eligible = (
-            semantics in MM_REDUCIBLE or semantics in FF_REDUCIBLE
-        ) and semantics != "circ"
-        if kernel_eligible:
+        if semantics in MM_REDUCIBLE or semantics in FF_REDUCIBLE:
             out.append(
                 self._estimate(
                     KERNEL_PROCEDURE,

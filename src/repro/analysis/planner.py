@@ -56,10 +56,10 @@ planner composes with, rather than competes against, the memo layer.
 Soundness notes (each backed by the 6-engine differential corpus):
 
 * Horn collapse: on a consistent Horn database the least model ``M`` is
-  the unique minimal model; GCWA/EGCWA/CCWA/ECWA/CIRC (default
-  partition), DDR, PWS, ICWA (default partition — Horn databases are
-  trivially stratified), PERF (Horn + no ICs), DSM and CWA all select
-  exactly ``{M}``; on an inconsistent one all select ``∅``.  PDSM's
+  the unique minimal model; GCWA/EGCWA/CCWA/ECWA (default partition;
+  CIRC is ECWA under an alias), DDR, PWS, ICWA (default partition —
+  Horn databases are trivially stratified), PERF (Horn + no ICs), DSM
+  and CWA all select exactly ``{M}``; on an inconsistent one all select ``∅``.  PDSM's
   three-valued states and the supported-model semantics (``a :- a.``
   has the non-minimal supported model ``{a}``) do *not* collapse and
   stay on ``default``.
@@ -69,7 +69,7 @@ Soundness notes (each backed by the 6-engine differential corpus):
   classically and are excluded).  Integrity clauses are checked against
   the model; a violated one empties the selection.
 * HCF reduction: with the default partition and no negation,
-  EGCWA/ECWA/CIRC/DSM/PERF/ICWA inference is minimal-model entailment
+  EGCWA/ECWA/DSM/PERF/ICWA inference is minimal-model entailment
   (``EGCWA(DB) = MM(DB)``; stable = minimal on negation-free programs;
   a negation-free database has a single stratum), and GCWA/CCWA
   inference is classical entailment from ``DB ∪ {¬x : x ∈ ff(DB)}``.

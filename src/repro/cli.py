@@ -39,7 +39,7 @@ from typing import List, Optional
 from . import __version__
 from .errors import ReproError
 from .logic.parser import parse_database, parse_formula
-from .semantics import ENGINES, SEMANTICS, get_semantics, resolve_name
+from .semantics import ENGINES, get_semantics, resolve_name
 
 
 def _read_database(path: str):
@@ -59,7 +59,7 @@ def _semantics_kwargs(args) -> dict:
         kwargs["z"] = [a for a in args.z.split(",") if a]
     # Partition kwargs only exist on partitioned semantics.
     name = resolve_name(args.semantics)
-    if name not in ("ccwa", "ecwa", "circ", "icwa"):
+    if name not in ("ccwa", "ecwa", "icwa"):
         kwargs.pop("p", None)
         kwargs.pop("z", None)
     return kwargs

@@ -13,9 +13,8 @@ models coincide, so:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List
 
-from ...logic.atoms import Literal
 from ...logic.clause import Clause
 from ...logic.cnf import Cnf
 from ...logic.database import DisjunctiveDatabase

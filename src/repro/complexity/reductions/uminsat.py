@@ -26,7 +26,7 @@ This module provides:
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import List
 
 from ...logic.atoms import Literal
 from ...logic.clause import Clause

@@ -28,9 +28,8 @@ PWS literal inference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from ...logic.atoms import Literal
 from ...logic.clause import Clause
 from ...logic.cnf import Cnf
 from ...logic.database import DisjunctiveDatabase

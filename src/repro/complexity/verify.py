@@ -12,7 +12,7 @@ hardness proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, TypeVar
 
 SourceInstance = TypeVar("SourceInstance")
 

@@ -8,8 +8,8 @@ ENGINE_CACHE`, keyed on::
     (DisjunctiveDatabase, semantics-name, inner-engine, *params, *query)
 
 where ``params`` is the semantics' :meth:`~repro.semantics.base.Semantics.
-cache_params` tuple (the ``(P;Z)`` partition for CCWA/ECWA/CIRC/ICWA,
-empty for the others).  Databases hash structurally, so two structurally
+cache_params` tuple (the ``(P;Z)`` partition for CCWA, ICWA and ECWA,
+which also serves EGCWA and the ``circ`` alias; empty for the others).  Databases hash structurally, so two structurally
 equal databases — however constructed — share entries, while distinct
 partitions or engines never collide.
 

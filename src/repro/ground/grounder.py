@@ -16,8 +16,7 @@ which the propositional parser accepts back — grounding round-trips.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from ..errors import ReproError
 from ..logic.clause import Clause

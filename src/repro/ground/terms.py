@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Mapping, Tuple
 
 from ..errors import ParseError
 

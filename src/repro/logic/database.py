@@ -17,7 +17,7 @@ paper's ``V``); interpretations range over the vocabulary.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from ..errors import PartitionError
 from .clause import Clause

@@ -16,7 +16,7 @@ others value 0.  Total interpretations are exactly those with
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping
+from typing import Dict, FrozenSet, Iterable, Iterator
 
 from ..errors import ReproError
 from .formula import FALSE3, TRUE3, UNDEF3, Formula

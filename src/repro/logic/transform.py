@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterator, List
 
 from .clause import Clause
 from .database import DisjunctiveDatabase
-from .formula import FALSE3, TRUE3, UNDEF3
+from .formula import FALSE3, TRUE3
 from .interpretation import ThreeValuedInterpretation
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.complexity.classes import CC, Claim, Regime, Task, table
+from repro.errors import ReproError
 from repro.obs.accounting import OracleObservation
 from repro.obs.metrics import METRICS
 
@@ -55,11 +56,6 @@ CERTIFICATES = METRICS.counter(
 #: :data:`FRAGMENT_ENVELOPES`).
 ORACLE_ENGINES = ("oracle", "cached", "planned")
 
-#: Registry aliases the certifier resolves without importing the
-#: semantics registry (kept tiny on purpose; ``canonical_name`` falls
-#: back to the live registry when available).
-_ALIASES = {"circ": "ecwa", "wgcwa": "ddr", "pms": "pws"}
-
 #: Map from session entry point to the paper's decision problem.
 TASK_FOR_METHOD = {
     "ask": Task.FORMULA,
@@ -71,17 +67,16 @@ TASK_FOR_METHOD = {
 
 
 def canonical_name(semantics: str) -> str:
-    """Resolve a semantics name/alias to its table row name."""
-    name = semantics.lower()
-    try:  # prefer the live registry (knows every alias)
-        from repro.semantics.base import resolve_name
+    """Resolve a semantics name/alias to its table row name (the
+    registry's canonical name; an unknown name is only lowercased)."""
+    # Imported here, not at module level: see the lazy-import note in
+    # :mod:`repro.obs`.
+    from repro.semantics.base import resolve_name
 
-        name = resolve_name(name)
-    except Exception:
-        pass
-    # The registry keeps ``circ`` as its own row; the tables fold it
-    # into ``ecwa`` (same semantics, same bounds).
-    return _ALIASES.get(name, name)
+    try:
+        return resolve_name(semantics)
+    except ReproError:
+        return semantics.lower()
 
 
 class CertificationError(AssertionError):

@@ -25,7 +25,7 @@ counter-model when the (cautious) answer is negative.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, List, Optional, TextIO
+from typing import Callable, Dict, Optional, TextIO
 
 from .errors import ReproError
 from .logic.database import DisjunctiveDatabase

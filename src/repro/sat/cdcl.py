@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..errors import BudgetExceededError, SolverError
 from ..runtime.budget import BudgetExceeded, check_deadline
-from .types import IntClause, SolverStats, check_int_clause, clause_is_tautology
+from .types import SolverStats, check_int_clause, clause_is_tautology
 
 #: Main-loop iterations between cooperative deadline polls.  One
 #: iteration is one propagation batch / decision / conflict, so a hard

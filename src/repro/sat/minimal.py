@@ -10,7 +10,7 @@ the vocabulary::
 * several levels — prioritized (lexicographic) minimality (ICWA,
   prioritized circumscription);
 * one level ``P`` — ``MM(DB; P; Z)``: ``P`` minimized, ``Q`` fixed,
-  ``Z`` floating (CCWA, ECWA/CIRC);
+  ``Z`` floating (CCWA, ECWA, which also answers circumscription);
 * one level holding the whole vocabulary, ``Z = ∅`` (the default) —
   subset-minimality, ``MM(DB)`` (EGCWA, GCWA, DSM, ...).
 

@@ -14,7 +14,7 @@ satisfiability and at least one model rather than the full model set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..logic.atoms import Literal

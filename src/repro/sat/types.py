@@ -8,7 +8,7 @@ symbolic layer (:mod:`repro.logic`) and the solvers can talk to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set
 
 from ..errors import SolverError

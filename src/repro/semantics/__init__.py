@@ -25,7 +25,6 @@ from .gcwa import Gcwa, augmented_database, free_for_negation
 from .ccwa import Ccwa
 from .egcwa import Egcwa
 from .ecwa import Ecwa, PartitionedSemantics
-from .circumscription import Circumscription, CircumscriptionChecker
 from .ddr import Ddr, possibly_true_atoms
 from .pws import Pws, is_possible_model, possible_models_by_splits
 from .stratification import (
@@ -94,8 +93,6 @@ __all__ = [
     "Egcwa",
     "Ecwa",
     "PartitionedSemantics",
-    "Circumscription",
-    "CircumscriptionChecker",
     "Ddr",
     "possibly_true_atoms",
     "Pws",

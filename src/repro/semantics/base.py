@@ -26,8 +26,8 @@ process-wide :data:`~repro.sat.incremental.SOLVER_POOL`, not an engine:
 ``configure_solver_pool(0)`` makes every oracle call build its own
 solver (e.g. for measuring cold-start costs).
 
-The registry maps names and historical aliases (``"circ"``, ``"wgcwa"``,
-``"pms"``, ...) to classes; :func:`get_semantics` instantiates by name and
+The registry maps names and historical aliases (``circ``, ``wgcwa``,
+``pms``, ...) to classes; :func:`get_semantics` instantiates by name and
 the module-level helpers :func:`infer` / :func:`infers_literal` /
 :func:`has_model` / :func:`model_set` provide a one-call API.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 import contextlib
 import functools
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Type, Union
+from typing import Dict, FrozenSet, Tuple, Type, Union
 
 from ..errors import ReproError
 from ..logic.atoms import Literal

@@ -28,10 +28,8 @@ from dataclasses import dataclass
 from typing import FrozenSet, List
 
 from ..logic.atoms import Literal
-from ..logic.clause import Clause
 from ..logic.database import DisjunctiveDatabase
-from ..logic.formula import Formula, Var
-from ..logic.interpretation import Interpretation
+from ..logic.formula import Formula
 from ..logic.transform import rename_atoms
 from ..sat.enumerate import iter_models
 from ..sat.incremental import pooled_scope

@@ -6,9 +6,12 @@ of the vocabulary::
     ECWA_{P;Z}(DB) = MM(DB; P; Z)
 
 — the models minimal when ``P`` is minimized, ``Q`` is fixed and ``Z``
-floats.  ``EGCWA`` is the special case ``Q = Z = ∅``.  In the finite
-propositional case ECWA coincides with circumscription
-(:mod:`repro.semantics.circumscription`).
+floats.  ``EGCWA`` is the special case ``Q = Z = ∅``
+(:class:`~repro.semantics.egcwa.Egcwa` subclasses :class:`Ecwa` with the
+partition fixed to that default).  In the finite propositional case ECWA
+coincides with Lifschitz's circumscription,
+``CIRC(DB; P; Z) = MM(DB; P; Z)``, so ``circ`` and ``circumscription``
+are registry aliases of ``ecwa``.
 
 Complexity (paper, Tables 1 and 2): literal and formula inference are
 Π₂ᵖ-complete; model existence is O(1) for positive DDBs and NP-complete
@@ -63,10 +66,11 @@ class PartitionedSemantics(Semantics):
 
 @register
 class Ecwa(PartitionedSemantics):
-    """Extended CWA: entailment over ``MM(DB; P; Z)``."""
+    """Extended CWA (= circumscription): entailment over
+    ``MM(DB; P; Z)``."""
 
     name = "ecwa"
-    aliases = ("extended-cwa",)
+    aliases = ("extended-cwa", "circ", "circumscription")
     description = "Extended CWA (Gelfond, Przymusinska & Przymusinski)"
 
     def model_set(
@@ -87,6 +91,16 @@ class Ecwa(PartitionedSemantics):
         p, _q, z = self.partition(db)
         with MinimalModelSolver(db, [p], z) as solver:
             return solver.entails(formula)
+
+    def infers_brave(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
+        self.validate(db)
+        formula = ground_query(db, formula)
+        if self.engine == "brute":
+            return super().infers_brave(db, formula)
+        # Σ₂ᵖ witness search: a (P;Z)-minimal model satisfying the formula.
+        p, _q, z = self.partition(db)
+        with MinimalModelSolver(db, [p], z) as solver:
+            return solver.find_minimal_satisfying(formula) is not None
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

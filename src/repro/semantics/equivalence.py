@@ -13,7 +13,7 @@ equivalence) and are a useful public API in their own right.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Not

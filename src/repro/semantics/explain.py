@@ -20,14 +20,14 @@ the database, without trusting the engine that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from ..errors import NotPositiveError, ReproError
 from ..logic.clause import Clause
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Not, Var
 from ..logic.interpretation import Interpretation, ThreeValuedInterpretation
-from .base import Semantics, get_semantics, ground_query
+from .base import get_semantics, ground_query
 
 
 @dataclass
@@ -112,7 +112,6 @@ def _check_ddr(db, model):
 _MEMBERSHIP_CHECKS = {
     "egcwa": _check_minimal,
     "ecwa": _check_minimal,  # default partition: plain minimality
-    "circ": _check_minimal,
     "gcwa": _check_gcwa,
     "dsm": _check_stable,
     "perf": _check_perfect,
@@ -133,7 +132,7 @@ def explain_non_inference(
     query = ground_query(db, formula)
     negated = Not(query)
     name = engine.name
-    if name in ("egcwa", "ecwa", "circ"):
+    if name in ("egcwa", "ecwa"):
         from ..sat.minimal import MinimalModelSolver
 
         with MinimalModelSolver(db) as solver:

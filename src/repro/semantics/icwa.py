@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Optional, Sequence
 
-from ..errors import NotStratifiedError
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation

@@ -32,7 +32,6 @@ from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import (
     FALSE3,
     TRUE3,
-    UNDEF3,
     And,
     Bottom,
     Formula,

@@ -30,7 +30,7 @@ need not exist for unstratified databases).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional
 
 from ..errors import NotPositiveError
 from ..logic.atoms import Literal

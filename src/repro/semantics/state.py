@@ -25,7 +25,7 @@ closure bodies are exactly the GCWA closure literals.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Set
 
 from ..errors import NotPositiveError
 from ..logic.database import DisjunctiveDatabase

@@ -15,9 +15,10 @@ future interactive mode) would program against:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Union
 
+from .complexity.classes import ROW_ORDER
 from .errors import ReproError
 from .obs import trace as _trace
 from .obs.accounting import (
@@ -225,14 +226,16 @@ class DatabaseSession:
         *tightened* fragment envelope (a Horn query that issued even one
         NP call is a violation).
 
-        Returns ``None`` when certification is disabled or the entry
-        point has no table cell; a strict certifier raises
+        Returns ``None`` when certification is disabled, or when the
+        entry point or the semantics has no table cell (``cwa`` and
+        ``supported`` have no Table 1/2 row, so, like brave mode, they
+        are out of certification scope); a strict certifier raises
         :class:`~repro.obs.certify.CertificationError` on violation.
         """
         if self.certifier is None:
             return None
         task = TASK_FOR_METHOD.get(method)
-        if task is None:
+        if task is None or engine.name not in ROW_ORDER:
             return None
         certificate = self.certifier.check(
             engine.name, task, self.db, window, self.engine, span=span,

@@ -20,8 +20,7 @@ The same functions back the pytest-benchmark targets in ``benchmarks/``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..complexity.classes import Regime, Task
@@ -41,7 +40,7 @@ from ..logic.database import DisjunctiveDatabase
 from ..models.enumeration import minimal_models_brute
 from ..obs.accounting import observe
 from ..qbf.solver import solve_qbf2_brute
-from ..sat.solver import SatSolver, is_satisfiable
+from ..sat.solver import is_satisfiable
 from ..semantics import get_semantics
 from ..workloads import (
     random_cnf,

@@ -8,17 +8,10 @@ measurements of :mod:`repro.tables.evidence`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from ..complexity.classes import (
-    ROW_LABELS,
-    ROW_ORDER,
-    Claim,
-    Regime,
-    Task,
-    table,
-)
-from .evidence import CellEvidence, measure_cell
+from ..complexity.classes import ROW_LABELS, ROW_ORDER, Regime, Task, table
+from .evidence import measure_cell
 
 _TASKS = (Task.LITERAL, Task.FORMULA, Task.EXISTS_MODEL)
 

@@ -10,7 +10,7 @@ are deterministic given a seed.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 #: Generators accept either an integer seed or a caller-owned
 #: ``random.Random`` instance.

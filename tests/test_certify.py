@@ -28,7 +28,12 @@ from repro.obs.certify import (
     canonical_name,
 )
 from repro.semantics import get_semantics
-from repro.workloads import random_query_formula
+from repro.session import DatabaseSession
+from repro.workloads import (
+    random_deductive_db,
+    random_positive_db,
+    random_query_formula,
+)
 
 from test_differential import COUNTS, SEMANTICS_FOR, build_db
 
@@ -71,6 +76,32 @@ def test_resilient_engine_is_out_of_scope():
         "gcwa", Task.FORMULA, db, window, "resilient"
     )
     assert not cert.certified and cert.ok
+
+
+#: Registered semantics with no Table 1/2 row, each on a database of its
+#: syntactic class (``supported`` is defined on normal programs only).
+UNCERTIFIED = {
+    "cwa": "a | b. c :- a. c :- b.",
+    "supported": "a :- not b. b :- not a. c :- a. c :- b.",
+}
+
+
+@pytest.mark.parametrize("method", ["ask", "ask_literal", "has_model"])
+@pytest.mark.parametrize("semantics", sorted(UNCERTIFIED))
+def test_semantics_without_a_table_row_are_out_of_scope(semantics, method):
+    """Like brave mode, a semantics outside the paper's tables is
+    answered uncertified instead of failing after the answer."""
+    session = DatabaseSession(
+        parse_database(UNCERTIFIED[semantics]),
+        certifier=Certifier(strict=True),
+    )
+    if method == "has_model":
+        assert isinstance(session.has_model(semantics=semantics), bool)
+    else:
+        answer = getattr(session, method)("c", semantics=semantics)
+        assert isinstance(answer.verdict, bool)
+        assert answer.complexity is None
+    assert session.certificates_checked == 0
 
 
 def test_task_for_method_covers_the_session_entry_points():
@@ -267,3 +298,29 @@ def test_violation_attaches_span_event():
     events = [e for e in root.events if e["name"] == "CertificateViolation"]
     assert events
     assert any(e["metric"] == "sigma2_dispatches" for e in events)
+
+
+# ----------------------------------------------------------------------
+# Strict model existence where the bounds bind: 8-16 atoms
+# ----------------------------------------------------------------------
+#: Every table row plus the registry aliases folded into one.
+EXISTENCE_NAMES = tuple(ROW_ORDER) + ("circ", "wgcwa", "pms")
+
+
+@pytest.mark.parametrize("name", EXISTENCE_NAMES)
+def test_strict_model_existence_at_scale(name):
+    """Model existence meets its Table 1/2 cell (O(1) on positive
+    databases, NP with integrity clauses) at 8, 12 and 16 atoms — sizes
+    the 4-5-atom differential corpus never reaches, where an enumerating
+    procedure breaks the cell's bound."""
+    for generate in (random_positive_db, random_deductive_db):
+        for atoms in (8, 12, 16):
+            for seed in range(4):
+                db = generate(atoms, atoms, seed=seed)
+                if name == "perf" and db.has_integrity_clauses:
+                    continue  # PERF rejects integrity clauses
+                session = DatabaseSession(
+                    db, certifier=Certifier(strict=True)
+                )
+                session.has_model(semantics=name)
+                assert session.certificates_checked == 1

@@ -58,7 +58,7 @@ GROWTH_FIELDS = (
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_default_estimate_monotone(field, method):
     base = profile("a | b. c :- a. c :- b. d :- not c.")
-    for semantics in ("gcwa", "egcwa", "circ", "icwa"):
+    for semantics in ("gcwa", "egcwa", "ecwa", "icwa"):
         small = COST_MODEL.default_estimate(base, semantics, method)
         for delta in (1, 4, 16):
             grown = replace(
@@ -233,7 +233,7 @@ def test_planner_never_chooses_above_default():
     )
     for text in corpora:
         prof = profile(text)
-        for semantics in ("gcwa", "ccwa", "egcwa", "circ", "icwa",
+        for semantics in ("gcwa", "ccwa", "egcwa", "ecwa", "icwa",
                           "perf", "dsm", "cwa", "ddr", "pdsm"):
             for method in ALL_METHODS:
                 plan = planner.plan(

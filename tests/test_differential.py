@@ -52,18 +52,17 @@ COUNTS = {
 #: ``icwa`` requires a stratification (normal databases may lack one).
 SEMANTICS_FOR = {
     "positive": [
-        "gcwa", "ccwa", "egcwa", "ecwa", "circ", "ddr", "pws", "perf",
-        "icwa", "dsm", "pdsm",
-    ],
-    "deductive": [
-        "gcwa", "ccwa", "egcwa", "ecwa", "circ", "ddr", "pws", "icwa",
+        "gcwa", "ccwa", "egcwa", "ecwa", "ddr", "pws", "perf", "icwa",
         "dsm", "pdsm",
     ],
-    "stratified": [
-        "gcwa", "ccwa", "egcwa", "ecwa", "circ", "perf", "icwa", "dsm",
+    "deductive": [
+        "gcwa", "ccwa", "egcwa", "ecwa", "ddr", "pws", "icwa", "dsm",
         "pdsm",
     ],
-    "normal": ["gcwa", "ccwa", "egcwa", "ecwa", "circ", "dsm", "pdsm"],
+    "stratified": [
+        "gcwa", "ccwa", "egcwa", "ecwa", "perf", "icwa", "dsm", "pdsm",
+    ],
+    "normal": ["gcwa", "ccwa", "egcwa", "ecwa", "dsm", "pdsm"],
 }
 
 
@@ -224,11 +223,10 @@ def test_corpus_default_path_matches():
 # quantity the `repro_planner_np_ratio` histogram buckets.  Scope:
 # formula inference, literal inference (the negative polarity — CCWA
 # positive literals route through the full closure and are documented
-# off-band in CostModel.default_estimate), and model existence for
-# non-circumscriptive semantics (circ has_model and model_set are
-# enumerative order-of-magnitude estimates, documented outside the
-# band).  Every probed answer is simultaneously cross-checked against
-# the oracle engine.
+# off-band in CostModel.default_estimate), and model existence
+# (model_set is an enumerative order-of-magnitude estimate, documented
+# outside the band).  Every probed answer is simultaneously
+# cross-checked against the oracle engine.
 CALIBRATION_CORE_BAND = (0.25, 4.0)
 CALIBRATION_HARD_BAND = (0.1, 10.0)
 CALIBRATION_CORE_FLOOR = 0.97
@@ -239,14 +237,6 @@ CALIBRATION_SEMANTICS = {
     regime: [n for n in names if n not in ("ddr", "pws", "pdsm")]
     for regime, names in SEMANTICS_FOR.items()
 }
-
-
-def _calibration_probes(db, name, query):
-    negative = Literal.neg(sorted(db.vocabulary)[0])
-    probes = [("infers", (query,)), ("infers_literal", (negative,))]
-    if name != "circ":
-        probes.append(("has_model", ()))
-    return probes
 
 
 @pytest.mark.parametrize("regime", sorted(COUNTS))
@@ -262,10 +252,16 @@ def test_planner_calibration(regime):
         query = random_query_formula(
             sorted(db.vocabulary), depth=2, seed=seed
         )
+        negative = Literal.neg(sorted(db.vocabulary)[0])
+        probes = (
+            ("infers", (query,)),
+            ("infers_literal", (negative,)),
+            ("has_model", ()),
+        )
         for name in CALIBRATION_SEMANTICS[regime]:
             planned = get_semantics(name, engine="planned")
             oracle = get_semantics(name, engine="oracle")
-            for method, args in _calibration_probes(db, name, query):
+            for method, args in probes:
                 # Cold start: every probe re-plans and re-solves, so
                 # the observation prices the procedure, not the cache.
                 ENGINE_CACHE.clear()
@@ -373,7 +369,7 @@ def _check_partitioned(engines) -> None:
         atoms = sorted(db.vocabulary)
         p, z = atoms[:2], atoms[2:3]
         query = random_query_formula(atoms, depth=2, seed=seed)
-        for name in ("ccwa", "ecwa", "circ"):
+        for name in ("ccwa", "ecwa"):
             brute = get_semantics(name, engine="brute", p=p, z=z)
             expected_models = brute.model_set(db)
             expected = brute.infers(db, query)

@@ -31,7 +31,7 @@ def test_diagnosis(capsys):
     out = _run_example("diagnosis", capsys)
     assert "faults: ['ab1']" in out
     assert "faults: ['ab2']" in out
-    assert "Circumscription agrees with ECWA: True" in out
+    assert "circ resolves to: ECWA" in out
 
 
 def test_game_stratified(capsys):

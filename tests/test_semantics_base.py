@@ -15,10 +15,12 @@ from repro.semantics.base import literal_formula
 class TestRegistry:
     def test_all_ten_semantics_registered(self):
         expected = {
-            "gcwa", "ccwa", "egcwa", "ecwa", "circ",
+            "gcwa", "ccwa", "egcwa", "ecwa",
             "ddr", "pws", "perf", "icwa", "dsm", "pdsm",
         }
         assert expected <= set(SEMANTICS)
+        # CIRC = ECWA propositionally: an alias, not a second engine.
+        assert "circ" not in SEMANTICS
 
     @pytest.mark.parametrize(
         "alias,canonical",
@@ -26,7 +28,8 @@ class TestRegistry:
             ("wgcwa", "ddr"),
             ("weak-gcwa", "ddr"),
             ("pms", "pws"),
-            ("circumscription", "circ"),
+            ("circ", "ecwa"),
+            ("circumscription", "ecwa"),
             ("stable", "dsm"),
             ("partial-stable", "pdsm"),
             ("perfect", "perf"),

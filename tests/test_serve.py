@@ -43,6 +43,7 @@ from repro.runtime.faults import FaultPlan
 from repro.serve import (
     AsyncServeClient,
     BackgroundServer,
+    QueryItem,
     QueryService,
     ReproServer,
     ServeClient,
@@ -70,7 +71,7 @@ REGIMES = ("positive", "deductive", "stratified", "normal")
 SEMANTICS_FOR = {
     "positive": ["gcwa", "egcwa", "dsm"],
     "deductive": ["gcwa", "egcwa", "dsm"],
-    "stratified": ["gcwa", "egcwa", "circ"],
+    "stratified": ["gcwa", "egcwa", "ecwa"],
     "normal": ["gcwa", "egcwa", "dsm"],
 }
 
@@ -297,6 +298,27 @@ def test_inline_database_and_tenant_namespaces():
         stats = service.stats()
         assert stats["tenants"]["alpha"]["sessions"] == 1
         assert stats["tenants"]["beta"]["sessions"] == 1
+
+    asyncio.run(main())
+
+
+def test_semantics_without_a_table_row_answer_200():
+    """``cwa`` has no Table 1/2 row: the service answers it, out of
+    certification scope, instead of failing the batch with a 500."""
+
+    async def main():
+        service = QueryService(engine="cached", workers=1)
+        try:
+            db_id = service.register_database(
+                "ops", "a | b. c :- a. c :- b."
+            )["db"]
+            result = await service.submit(
+                QueryItem("ops", db_id, "cwa", "infers", query="c")
+            )
+            assert result.status == 200, result.payload
+            assert isinstance(result.payload["verdict"], bool)
+        finally:
+            service.close()
 
     asyncio.run(main())
 
