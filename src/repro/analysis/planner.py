@@ -89,7 +89,6 @@ from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Var
 from ..logic.interpretation import Interpretation
-from ..sat.incremental import pooled_scope
 from ..semantics.base import Semantics, ground_query, literal_formula
 from .cost import (
     COST_MODEL,
@@ -617,13 +616,9 @@ class PlannedSemantics(Semantics):
     ) -> bool:
         """GCWA-family formula inference: classical entailment from the
         memoized founded ``ff(DB)`` closure."""
-        from ..semantics.gcwa import augmented_database
+        from ..semantics.gcwa import closure_counter_model
 
-        free = hcf_free_atoms(db)
-        augmented = augmented_database(db, free)
-        with pooled_scope(augmented, context=("db",)) as sat:
-            sat.add_formula(formula, positive=False)
-            return not sat.solve()
+        return closure_counter_model(db, hcf_free_atoms(db), formula) is None
 
     # ------------------------------------------------------------------
     def cache_params(self) -> tuple:

@@ -361,9 +361,8 @@ def linear_inference(
     """The naive ``|P| + 1``-oracle-call variant (ablation baseline):
     one Σ₂ᵖ query per atom to compute ``S*`` directly, then one classical
     check of the augmented theory."""
-    from ..sat.solver import entails_classically
     from ..semantics.base import ground_query
-    from ..semantics.gcwa import augmented_database
+    from ..semantics.gcwa import closure_counter_model
 
     oracle = oracle or Sigma2Oracle()
     formula = ground_query(db, formula)
@@ -377,8 +376,8 @@ def linear_inference(
     for atom in sorted(p_set):
         if oracle.query(db, Var(atom), p=p_set, z=z):
             surviving.add(atom)
-    augmented = augmented_database(db, frozenset(p_set) - surviving)
-    inferred = entails_classically(augmented, formula)
+    negated = frozenset(p_set) - surviving
+    inferred = closure_counter_model(db, negated, formula) is None
     return ThetaResult(
         inferred=inferred,
         witness_count=len(surviving),

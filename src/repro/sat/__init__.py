@@ -4,7 +4,8 @@
 * :class:`~repro.sat.solver.SatSolver` — symbolic facade over named atoms.
 * :mod:`repro.sat.enumerate` — (projected) model enumeration.
 * :mod:`repro.sat.incremental` — persistent incremental solvers with
-  selector-guarded scopes, and the process-wide :data:`SOLVER_POOL`.
+  selector-guarded scopes, their one model loop ``Scope.each_model``,
+  and the process-wide :data:`SOLVER_POOL`.
 * :mod:`repro.sat.decompose` — connected-component decomposition and the
   ``MM`` product law.
 * :mod:`repro.sat.minimal` — :class:`~repro.sat.minimal.MinimalModelSolver`,
@@ -20,13 +21,14 @@ from .decompose import (
     product_interpretations,
 )
 from .dpll import solve_dpll
-from .enumerate import blocking_clause, count_models, iter_models
+from .enumerate import count_models, iter_models
 from .incremental import (
     SOLVER_POOL,
     IncrementalSatSolver,
     Scope,
     SolverPool,
     acquire_solver,
+    blocking_clause,
     clear_solver_pool,
     configure_solver_pool,
     pooled_scope,

@@ -6,10 +6,10 @@ database theory plus a per-query side condition, a shrink constraint, or
 a growing set of blocking clauses.  Historically each call built a fresh
 :class:`~repro.sat.solver.SatSolver`, re-translated the database and
 threw away every learned clause.  This module keeps one CDCL instance
-alive per ``(database, extra-theory)`` context instead:
+alive per ``(database, context)`` instead:
 
 * :class:`IncrementalSatSolver` — a persistent solver whose *permanent*
-  clauses (the database, extra CNF) are asserted once, and whose
+  clauses (the database, a ``setup``'s own) are asserted once, and whose
   *temporary* clauses live in :class:`Scope` objects.  A scope guards
   every clause with a selector literal (MiniSat-style): while the scope
   is open its selector is passed as an assumption, so the clauses are
@@ -27,13 +27,13 @@ alive per ``(database, extra-theory)`` context instead:
   are *checked out* while in use (concurrent users of the same key get
   independent instances) and returned on release.
 
-* :func:`pooled_scope` — the one-liner most call sites use::
+* :func:`pooled_scope` — the one-liner most call sites use, with
+  :meth:`Scope.each_model`, the package's one solve–read–block loop::
 
       with pooled_scope(db) as sat:          # warm solver, fresh scope
           sat.add_formula(Not(query))        # temporary, auto-retracted
-          while sat.solve():
-              ...
-              sat.add_clause(blocking)       # temporary too
+          for model in sat.each_model(sorted(db.vocabulary)):
+              ...                            # blocked on resume, in scope
 
   A pool configured with ``maxsize`` 0 (:func:`configure_solver_pool`)
   parks nothing: every checkout builds a cold solver, with the identical
@@ -60,6 +60,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -71,6 +72,7 @@ from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from ..obs.accounting import charge_solver_stats, open_windows
 from ..obs.metrics import METRICS
+from ..runtime.budget import check_deadline
 from .solver import SatSolver
 
 #: Default bound on pooled (parked) solvers across all keys.
@@ -80,6 +82,14 @@ DEFAULT_POOL_MAXSIZE = 128
 #: clauses and dead selector variables that rebuilding beats reusing;
 #: the pool discards it on release instead of parking it.
 RETIRED_SCOPE_LIMIT = 2048
+
+
+def blocking_clause(
+    model: Interpretation, project: Iterable[str]
+) -> List[Literal]:
+    """The clause excluding exactly the models whose ``project``-restriction
+    equals ``model``'s (literals in ``project`` order)."""
+    return [Literal.neg(a) if a in model else Literal.pos(a) for a in project]
 
 
 class Scope:
@@ -197,6 +207,30 @@ class Scope:
         """The model found by the last successful :meth:`solve`."""
         return self._solver.model(restrict_to=restrict_to)
 
+    def each_model(
+        self,
+        project: Sequence[str],
+        assumptions: Sequence[Literal] = (),
+        restrict_to: Optional[Iterable[str]] = None,
+    ) -> Iterator[Interpretation]:
+        """The models of this scope under ``assumptions``, one SAT call
+        each, read over ``restrict_to`` (default ``project``, which it
+        must contain) — the package's one solve–read–block loop.  Asking
+        for the next model blocks the last one's ``project``-restriction
+        in this scope, so an empty ``project`` yields at most one model;
+        stopping early adds no block."""
+        read = project if restrict_to is None else restrict_to
+        while True:
+            check_deadline()
+            if not self.solve(assumptions):
+                return
+            model = self.model(restrict_to=read)
+            yield model
+            block = blocking_clause(model, project)
+            if not block:
+                return
+            self.add_clause(block)
+
     # ------------------------------------------------------------------
     def scope(self) -> "_ScopeContext":
         """Open a child scope (its queries also enforce this scope)."""
@@ -261,30 +295,22 @@ class _ScopeContext:
 
 
 class IncrementalSatSolver:
-    """A persistent SAT solver for one ``(database, extra-theory)``
-    context.
+    """A persistent SAT solver for one ``(database, context)`` pair.
 
-    The database's classical clause form and any extra CNF are asserted
-    *permanently* at construction; everything query-specific goes through
-    :meth:`scope`.  The CDCL core's learned clauses, activities and phase
-    state accumulate across queries — that accumulation is the speedup.
+    The database's classical clause form is asserted *permanently* at
+    construction; everything query-specific goes through :meth:`scope`.
+    The CDCL core's learned clauses, activities and phase state
+    accumulate across queries — that accumulation is the speedup.
 
     Args:
         db: the base database (``None`` for a bare solver).
-        extra_cnf: permanent extra clauses (count as part of the theory).
     """
 
-    def __init__(
-        self,
-        db: Optional[DisjunctiveDatabase] = None,
-        extra_cnf: Optional[Cnf] = None,
-    ):
+    def __init__(self, db: Optional[DisjunctiveDatabase] = None):
         self._sat = SatSolver()
         self.db = db
         if db is not None:
             self._sat.add_database(db)
-        for clause in extra_cnf or ():
-            self._sat.add_clause(clause)
         self._selector_count = 0
         self._free_selectors: List[Literal] = []
         self.scopes_opened = 0
@@ -432,9 +458,9 @@ class SolverPool:
     """A bounded pool of warm :class:`IncrementalSatSolver` instances.
 
     Keys are hashable context tuples (built by :func:`acquire_solver`
-    from the structural database hash, the extra theory and a caller
-    context tag), so two structurally equal databases share warm solvers
-    exactly as they share engine-cache entries.
+    from the structural database hash and a caller context tag), so two
+    structurally equal databases share warm solvers exactly as they
+    share engine-cache entries.
 
     Solvers are checked out by :meth:`acquire` (removed from the pool, so
     concurrent users never share mutable CDCL state) and parked again by
@@ -608,36 +634,26 @@ def configure_solver_pool(maxsize: int) -> None:
 # ----------------------------------------------------------------------
 # Acquisition helpers
 # ----------------------------------------------------------------------
-def _canonical_extra(extra_cnf: Optional[Cnf]):
-    if not extra_cnf:
-        return frozenset(), []
-    clauses = [tuple(clause) if not isinstance(clause, frozenset) else clause
-               for clause in extra_cnf]
-    return frozenset(frozenset(c) for c in clauses), list(extra_cnf)
-
-
 def acquire_solver(
     db: Optional[DisjunctiveDatabase] = None,
-    extra_cnf: Optional[Cnf] = None,
     context: Tuple[Hashable, ...] = (),
     setup: Optional[Callable[[IncrementalSatSolver], None]] = None,
 ) -> Tuple[Hashable, IncrementalSatSolver]:
-    """A (possibly warm) solver for ``(db, extra_cnf, context)``.
+    """A (possibly warm) solver for ``(db, context)``.
 
     Returns ``(key, solver)``; pass both to :func:`release_solver` when
     done.  ``setup`` runs once per *constructed* solver to assert
     permanent context-specific content (e.g. a completion formula); it
     must be a pure function of the key so warm and cold solvers agree.
     """
-    extra_key, extra_list = _canonical_extra(extra_cnf)
 
     def build() -> IncrementalSatSolver:
-        solver = IncrementalSatSolver(db=db, extra_cnf=extra_list)
+        solver = IncrementalSatSolver(db=db)
         if setup is not None:
             setup(solver)
         return solver
 
-    key = (db, extra_key, tuple(context))
+    key = (db, tuple(context))
     return key, SOLVER_POOL.acquire(key, build)
 
 
@@ -649,7 +665,6 @@ def release_solver(key: Hashable, solver: IncrementalSatSolver) -> None:
 @contextmanager
 def pooled_scope(
     db: Optional[DisjunctiveDatabase] = None,
-    extra_cnf: Optional[Cnf] = None,
     context: Tuple[Hashable, ...] = (),
     setup: Optional[Callable[[IncrementalSatSolver], None]] = None,
 ) -> Iterator[Scope]:
@@ -659,9 +674,7 @@ def pooled_scope(
     pattern: everything asserted through the yielded scope is retracted
     on exit, and the underlying solver returns to the pool warm.
     """
-    key, solver = acquire_solver(
-        db=db, extra_cnf=extra_cnf, context=context, setup=setup
-    )
+    key, solver = acquire_solver(db=db, context=context, setup=setup)
     try:
         with solver.scope() as scope:
             yield scope

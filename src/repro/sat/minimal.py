@@ -52,17 +52,12 @@ from ..logic.interpretation import Interpretation
 from ..obs.accounting import counts_as_sigma2_dispatch
 from ..runtime.budget import check_deadline
 from .decompose import decompose, product_interpretations, restrict_partition
-from .incremental import SOLVER_POOL, Scope, acquire_solver
+from .incremental import SOLVER_POOL, Scope, acquire_solver, blocking_clause
 
 
 def _agreeing(atoms: Iterable[str], model: frozenset) -> List[Literal]:
     """The literals fixing ``atoms`` to their values in ``model``."""
     return [Literal.pos(a) if a in model else Literal.neg(a) for a in atoms]
-
-
-def _differing(atoms: Iterable[str], model: frozenset) -> List[Literal]:
-    """The clause "some atom of ``atoms`` differs from ``model``"."""
-    return [Literal.neg(a) if a in model else Literal.pos(a) for a in atoms]
 
 
 class MinimalModelSolver:
@@ -188,16 +183,12 @@ class MinimalModelSolver:
         self, searcher: Scope, assumptions: Sequence[Literal] = ()
     ) -> Iterator[Interpretation]:
         """The guesses: models of ``searcher``'s constraints under
-        ``assumptions``.  A guess the consumer rejects (by asking for the
-        next one) is blocked on ``V ∖ Z``; minimality depends only on
-        that projection, so the block is sound for every condition."""
-        while True:
-            check_deadline()
-            if not searcher.solve(assumptions):
-                return
-            candidate = searcher.model(restrict_to=self.db.vocabulary)
-            yield candidate
-            searcher.add_clause(_differing(self._visible, candidate))
+        ``assumptions``, read on ``V``.  A guess the consumer rejects (by
+        asking for the next) is blocked on ``V ∖ Z``; minimality depends
+        only on that projection, so the block is sound for any condition."""
+        return searcher.each_model(
+            self._visible, assumptions, restrict_to=self.db.vocabulary
+        )
 
     @counts_as_sigma2_dispatch
     def find_minimal_satisfying(
@@ -298,7 +289,7 @@ class MinimalModelSolver:
                 else:
                     yield minimal
                 cone = [Literal.neg(a) for a in self.levels[0] if a in minimal]
-                cone += _differing(self.q, minimal)
+                cone += blocking_clause(minimal, self.q)
                 if not cone:
                     return  # every model lies above the one minimal model
                 blocker.add_clause(cone)
@@ -309,15 +300,8 @@ class MinimalModelSolver:
         """Every model agreeing with ``minimal`` on ``V ∖ Z`` (all minimal
         together), enumerated in an independent scope."""
         fixed = _agreeing(self._visible, minimal)
-        vocabulary = sorted(self.db.vocabulary)
         with self._inc.scope() as extension:
-            while True:
-                check_deadline()
-                if not extension.solve(fixed):
-                    return
-                model = extension.model(restrict_to=self.db.vocabulary)
-                yield model
-                extension.add_clause(_differing(vocabulary, model))
+            yield from extension.each_model(sorted(self.db.vocabulary), fixed)
 
     def _iter_product(self, parts) -> Iterator[Interpretation]:
         """The minimal models as the product of the components'."""

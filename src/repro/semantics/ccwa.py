@@ -24,12 +24,11 @@ from ..logic.formula import Formula, Var
 from ..logic.interpretation import Interpretation
 from ..models.enumeration import all_models, pz_minimal_models_brute
 from ..sat.enumerate import iter_models
-from ..sat.incremental import pooled_scope
 from ..sat.minimal import MinimalModelSolver
 from ..sat.solver import database_is_consistent
 from .ecwa import PartitionedSemantics
 from .base import ground_query, register
-from .gcwa import augmented_database
+from .gcwa import augmented_database, closure_counter_model
 
 
 @register
@@ -71,10 +70,7 @@ class Ccwa(PartitionedSemantics):
         formula = ground_query(db, formula)
         if self.engine == "brute":
             return super().infers(db, formula)
-        augmented = augmented_database(db, self.free_atoms(db))
-        with pooled_scope(augmented, context=("db",)) as sat:
-            sat.add_formula(formula, positive=False)
-            return not sat.solve()
+        return closure_counter_model(db, self.free_atoms(db), formula) is None
 
     def infers_literal(self, db: DisjunctiveDatabase, literal) -> bool:
         if isinstance(literal, str):

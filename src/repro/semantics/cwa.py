@@ -34,7 +34,7 @@ from ..logic.transform import rename_atoms
 from ..sat.enumerate import iter_models
 from ..sat.incremental import pooled_scope
 from .base import Semantics, ground_query, register
-from .gcwa import augmented_database
+from .gcwa import augmented_database, closure_counter_model
 
 
 def cwa_free_atoms(db: DisjunctiveDatabase) -> FrozenSet[str]:
@@ -209,10 +209,7 @@ class Cwa(Semantics):  # lint: ok RPR005 -- baseline outside Tables 1/2
         formula = ground_query(db, formula)
         if self.engine == "brute":
             return super().infers(db, formula)
-        closure = cwa_closure(db)
-        with pooled_scope(closure, context=("db",)) as sat:
-            sat.add_formula(formula, positive=False)
-            return not sat.solve()
+        return closure_counter_model(db, cwa_free_atoms(db), formula) is None
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

@@ -39,7 +39,7 @@ from ..logic.interpretation import Interpretation
 from ..sat.enumerate import iter_models
 from ..sat.incremental import pooled_scope
 from .base import Semantics, ground_query, register
-from .gcwa import augmented_database
+from .gcwa import augmented_database, closure_counter_model
 
 
 def possibly_true_atoms(db: DisjunctiveDatabase) -> FrozenSet[str]:
@@ -115,10 +115,8 @@ class Ddr(Semantics):
         if self.engine == "brute":
             return super().infers(db, formula)
         # coNP upper bound: polynomial fixpoint + one UNSAT call.
-        augmented = augmented_database(db, self.negated_atoms(db))
-        with pooled_scope(augmented, context=("db",)) as sat:
-            sat.add_formula(formula, positive=False)
-            return not sat.solve()
+        negated = self.negated_atoms(db)
+        return closure_counter_model(db, negated, formula) is None
 
     def infers_literal(self, db: DisjunctiveDatabase, literal) -> bool:
         if isinstance(literal, str):

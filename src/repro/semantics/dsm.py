@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterator, Optional
 
-from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Not
 from ..logic.interpretation import Interpretation, all_interpretations
 from ..logic.transform import gl_reduct
-from ..runtime.budget import check_deadline
 from ..sat.incremental import pooled_scope
 from ..sat.minimal import MinimalModelSolver
 from .base import Semantics, ground_query, register
@@ -83,23 +81,12 @@ class Dsm(Semantics):
         """Guess-and-check enumeration: stable models are models of DB, so
         candidates come from the SAT oracle; each is checked with one
         NP-oracle minimality call; exact blocking."""
-        vocabulary = sorted(db.vocabulary)
         with pooled_scope(db, context=("db",)) as searcher:
             if condition is not None:
                 searcher.add_formula(condition)
-            while True:
-                check_deadline()
-                if not searcher.solve():
-                    return
-                candidate = searcher.model(restrict_to=db.vocabulary)
+            for candidate in searcher.each_model(sorted(db.vocabulary)):
                 if is_stable_model(db, candidate):
                     yield candidate
-                searcher.add_clause(
-                    [
-                        Literal.neg(a) if a in candidate else Literal.pos(a)
-                        for a in vocabulary
-                    ]
-                )
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
         self.validate(db)

@@ -109,14 +109,39 @@ def _check_ddr(db, model):
     return db.is_model(model) and not (model & semantics.negated_atoms(db))
 
 
+def _check_cwa(db, model):
+    from .cwa import cwa_closure
+
+    return cwa_closure(db).is_model(model)
+
+
+def _check_iterated(db, model):
+    from ..sat.minimal import MinimalModelSolver
+    from .icwa import Icwa
+
+    shifted, levels = Icwa()._setup(db)
+    with MinimalModelSolver(shifted, levels) as solver:
+        return shifted.is_model(model) and solver.is_minimal(model)
+
+
+def _check_supported(db, model):
+    from .supported import is_supported_model
+
+    return is_supported_model(db, model)
+
+
 _MEMBERSHIP_CHECKS = {
     "egcwa": _check_minimal,
     "ecwa": _check_minimal,  # default partition: plain minimality
     "gcwa": _check_gcwa,
+    "ccwa": _check_gcwa,  # default partition: CCWA is GCWA
+    "cwa": _check_cwa,
+    "icwa": _check_iterated,
     "dsm": _check_stable,
     "perf": _check_perfect,
     "pws": _check_possible,
     "ddr": _check_ddr,
+    "supported": _check_supported,
 }
 
 
@@ -138,30 +163,14 @@ def explain_non_inference(
         with MinimalModelSolver(db) as solver:
             witness = solver.find_minimal_satisfying(negated)
     elif name == "gcwa":
-        from ..sat.incremental import pooled_scope
-        from .gcwa import Gcwa, augmented_database
+        from .gcwa import Gcwa, closure_counter_model
 
-        augmented = augmented_database(db, Gcwa().free_atoms(db))
-        with pooled_scope(augmented, context=("db",)) as sat:
-            sat.add_formula(negated)
-            witness = (
-                sat.model(restrict_to=db.vocabulary)
-                if sat.solve()
-                else None
-            )
+        witness = closure_counter_model(db, Gcwa().free_atoms(db), query)
     elif name == "ddr":
-        from ..sat.incremental import pooled_scope
         from .ddr import Ddr
-        from .gcwa import augmented_database
+        from .gcwa import closure_counter_model
 
-        augmented = augmented_database(db, Ddr().negated_atoms(db))
-        with pooled_scope(augmented, context=("db",)) as sat:
-            sat.add_formula(negated)
-            witness = (
-                sat.model(restrict_to=db.vocabulary)
-                if sat.solve()
-                else None
-            )
+        witness = closure_counter_model(db, Ddr().negated_atoms(db), query)
     elif name == "pws":
         witness = next(
             get_semantics("pws")._iter_possible_models(db, condition=negated),

@@ -24,7 +24,7 @@ Complexity (paper, Tables 1 and 2):
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import FrozenSet, Optional
 
 from ..logic.atoms import Literal
 from ..logic.clause import Clause
@@ -66,6 +66,21 @@ def augmented_database(
     return db.with_clauses(units)
 
 
+def closure_counter_model(
+    db: DisjunctiveDatabase, negated: FrozenSet[str], formula: Formula
+) -> Optional[Interpretation]:
+    """A model of ``DB ∪ {¬x : x ∈ negated}`` falsifying ``formula``, or
+    ``None`` when the closure entails it — the one SAT call of the coNP
+    closure checks (GCWA and CCWA once ``negated`` is known, DDR, CWA)."""
+    with pooled_scope(
+        augmented_database(db, negated), context=("db",)
+    ) as sat:
+        sat.add_formula(formula, positive=False)
+        if not sat.solve():
+            return None
+        return sat.model(restrict_to=db.vocabulary)
+
+
 @register
 class Gcwa(Semantics):
     """Generalized CWA: negate atoms false in all minimal models."""
@@ -104,10 +119,7 @@ class Gcwa(Semantics):
         # ff(DB) via |V| Σ₂ᵖ-primitive calls, then one classical
         # entailment call on the augmented theory.  (The Θ₂ᵖ-style
         # O(log n)-oracle-call algorithm is in repro.complexity.machines.)
-        augmented = augmented_database(db, self.free_atoms(db))
-        with pooled_scope(augmented, context=("db",)) as sat:
-            sat.add_formula(formula, positive=False)
-            return not sat.solve()
+        return closure_counter_model(db, self.free_atoms(db), formula) is None
 
     def infers_literal(self, db: DisjunctiveDatabase, literal) -> bool:
         if isinstance(literal, str):

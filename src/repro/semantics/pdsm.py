@@ -48,7 +48,6 @@ from ..logic.interpretation import (
     all_three_valued,
 )
 from ..logic.transform import three_valued_reduct
-from ..runtime.budget import check_deadline
 from ..sat.incremental import pooled_scope
 from .base import Semantics, ground_query, register
 
@@ -271,20 +270,10 @@ class Pdsm(Semantics):
         with self._candidate_scope(db) as searcher:
             if condition is not None:
                 searcher.add_formula(condition)
-            while True:
-                check_deadline()
-                if not searcher.solve():
-                    return
-                raw = searcher.model(restrict_to=encoding_atoms)
+            for raw in searcher.each_model(encoding_atoms):
                 candidate = self._decode(db, raw)
                 if is_partial_stable(db, candidate):
                     yield candidate
-                searcher.add_clause(
-                    [
-                        Literal.neg(a) if a in raw else Literal.pos(a)
-                        for a in encoding_atoms
-                    ]
-                )
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
         """Degree-1 truth of ``formula`` in every partial stable model."""

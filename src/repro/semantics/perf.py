@@ -37,7 +37,6 @@ from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Not
 from ..logic.interpretation import Interpretation
-from ..runtime.budget import check_deadline
 from ..sat.incremental import pooled_scope
 from .base import Semantics, ground_query, register
 
@@ -217,23 +216,12 @@ class Perf(Semantics):
     ) -> Iterator[Interpretation]:
         """Guess-and-check enumeration of perfect models: SAT candidates,
         coNP perfect check per candidate, exact blocking."""
-        vocabulary = sorted(db.vocabulary)
         with pooled_scope(db, context=("db",)) as searcher:
             if condition is not None:
                 searcher.add_formula(condition)
-            while True:
-                check_deadline()
-                if not searcher.solve():
-                    return
-                candidate = searcher.model(restrict_to=db.vocabulary)
+            for candidate in searcher.each_model(sorted(db.vocabulary)):
                 if is_perfect(db, candidate, priorities):
                     yield candidate
-                searcher.add_clause(
-                    [
-                        Literal.neg(a) if a in candidate else Literal.pos(a)
-                        for a in vocabulary
-                    ]
-                )
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
         self.validate(db)

@@ -35,7 +35,6 @@ from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Not
 from ..logic.interpretation import Interpretation
 from ..logic.transform import split_count, split_programs
-from ..runtime.budget import check_deadline
 from ..sat.incremental import pooled_scope
 from .base import Semantics, ground_query, register
 from .ddr import possibly_true_atoms
@@ -118,23 +117,12 @@ class Pws(Semantics):
     ) -> Iterator[Interpretation]:
         """Enumerate possible models (optionally satisfying a condition)
         by SAT candidate generation + polynomial possible-model check."""
-        vocabulary = sorted(db.vocabulary)
-        with pooled_scope(db, context=("db",)) as solver:
+        with pooled_scope(db, context=("db",)) as searcher:
             if condition is not None:
-                solver.add_formula(condition)
-            while True:
-                check_deadline()
-                if not solver.solve():
-                    return
-                candidate = solver.model(restrict_to=db.vocabulary)
+                searcher.add_formula(condition)
+            for candidate in searcher.each_model(sorted(db.vocabulary)):
                 if is_possible_model(db, candidate):
                     yield candidate
-                solver.add_clause(
-                    [
-                        Literal.neg(a) if a in candidate else Literal.pos(a)
-                        for a in vocabulary
-                    ]
-                )
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
         self.validate(db)

@@ -28,8 +28,6 @@ from ..errors import NotPositiveError
 from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Iff, Not, Var, conj, disj
 from ..logic.interpretation import Interpretation
-from ..runtime.budget import check_deadline
-from ..sat.enumerate import blocking_clause
 from ..sat.incremental import pooled_scope
 from .base import Semantics, ground_query, register
 
@@ -149,20 +147,8 @@ class Supported(Semantics):  # lint: ok RPR005 -- comparison semantics, no table
                 for m in all_interpretations(db.vocabulary)
                 if is_supported_model(db, m)
             )
-        project = sorted(db.vocabulary)
-        found = []
         with self._completion_scope(db) as sat:
-            while True:
-                check_deadline()
-                if not sat.solve():
-                    break
-                model = sat.model(restrict_to=project)
-                found.append(model)
-                block = blocking_clause(model, project)
-                if not block:
-                    break
-                sat.add_clause(block)
-        return frozenset(found)
+            return frozenset(sat.each_model(sorted(db.vocabulary)))
 
     def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
         self.validate(db)

@@ -1,9 +1,7 @@
 """Tests for repro.logic.clause."""
 
-import pytest
 from hypothesis import given
 
-from repro.logic.atoms import Literal
 from repro.logic.clause import Clause
 
 from conftest import clauses

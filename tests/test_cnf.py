@@ -11,7 +11,7 @@ from repro.logic.cnf import (
     formula_to_cnf_naive,
     tseitin,
 )
-from repro.logic.formula import And, Iff, Implies, Not, Or, Var
+from repro.logic.formula import And, Not, Or, Var
 from repro.logic.parser import parse_database
 
 from test_formula import formulas

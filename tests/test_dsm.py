@@ -1,6 +1,5 @@
 """Tests for the Disjunctive Stable Model semantics."""
 
-import pytest
 from hypothesis import given
 
 from repro.logic.parser import parse_database, parse_formula

@@ -5,7 +5,6 @@ oracle engine against Lifschitz's definition, decided by the reference
 checker in :mod:`reference_models`.
 """
 
-import pytest
 from hypothesis import given
 
 from repro.logic.parser import parse_database, parse_formula

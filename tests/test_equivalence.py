@@ -1,6 +1,5 @@
 """Tests for database equivalence under various semantics."""
 
-import pytest
 from hypothesis import given
 
 from repro.logic.parser import parse_database

@@ -5,7 +5,6 @@ import importlib.util
 import pathlib
 import sys
 
-import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 

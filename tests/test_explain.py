@@ -3,19 +3,48 @@
 import pytest
 from hypothesis import given
 
-from repro.errors import NotPositiveError
+from repro.errors import NotPositiveError, NotStratifiedError
 from repro.logic.parser import parse_database, parse_formula
-from repro.semantics import get_semantics
+from repro.semantics import SEMANTICS, get_semantics
 from repro.semantics.explain import (
     derivation_of,
     explain_closure_literal,
     explain_non_inference,
+)
+from repro.session import DatabaseSession
+from repro.workloads import (
+    random_deductive_db,
+    random_normal_db,
+    random_positive_db,
+    random_stratified_db,
 )
 
 from conftest import databases, positive_databases
 
 SEMANTICS_WITH_CERTIFICATES = [
     "egcwa", "gcwa", "ddr", "pws", "dsm", "perf", "pdsm",
+]
+
+#: Hand-written databases (disjunctive, normal, with an integrity clause,
+#: non-tight) plus seeded ones from four regimes, so that every
+#: registered semantics attaches certificates somewhere.
+CERTIFICATE_CORPUS = [
+    parse_database(text)
+    for text in (
+        "a | b. c :- a.",
+        "a :- not b. b :- not a. c :- a.",
+        "a | b. :- a, b. c :- b.",
+        "p :- q. q :- p. r :- not p.",
+    )
+] + [
+    generate(6, 6, seed=seed)
+    for generate in (
+        random_positive_db,
+        random_deductive_db,
+        random_stratified_db,
+        random_normal_db,
+    )
+    for seed in range(5)
 ]
 
 
@@ -77,6 +106,31 @@ class TestCounterModels:
             simple_db, parse_formula("c"), "egcwa"
         )
         assert "{b}" in certificate.render()
+
+
+@pytest.mark.parametrize("name", sorted(SEMANTICS))
+def test_session_certificates_check(name):
+    """Every certificate a session attaches to a negative cautious answer
+    re-verifies against the database, for every registered semantics."""
+    attached = 0
+    for db in CERTIFICATE_CORPUS:
+        session = DatabaseSession(db)
+        first, *_, last = sorted(db.vocabulary)
+        for query in (
+            first,
+            f"~{last}",
+            f"{first} | ~{last}",
+            f"{first} & {last}",
+            f"~{first} | {last}",
+        ):
+            try:
+                answer = session.ask(query, semantics=name)
+            except (NotPositiveError, NotStratifiedError):
+                continue  # the semantics is not defined on this database
+            if answer.certificate is not None:
+                assert answer.certificate.check(db) is True, (db, query)
+                attached += 1
+    assert attached
 
 
 class TestDerivations:

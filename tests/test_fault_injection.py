@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.resilient import ResilientSemantics, RetryPolicy
+from repro.engine.resilient import RetryPolicy
 from repro.logic.atoms import Literal
 from repro.logic.parser import parse_database, parse_formula
 from repro.runtime import (

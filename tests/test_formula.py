@@ -1,7 +1,6 @@
 """Tests for repro.logic.formula."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -15,7 +14,6 @@ from repro.logic.formula import (
     UNDEF3,
     And,
     Bottom,
-    Formula,
     Iff,
     Implies,
     Not,

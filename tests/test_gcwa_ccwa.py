@@ -11,7 +11,7 @@ from repro.semantics.gcwa import (
     free_for_negation_brute,
 )
 
-from conftest import databases, positive_databases
+from conftest import databases
 
 
 class TestFreeForNegation:

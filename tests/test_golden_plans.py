@@ -11,7 +11,6 @@ deliberate changes are signed off by re-running
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 

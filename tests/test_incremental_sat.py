@@ -3,8 +3,9 @@
 Covers the selector-literal retraction mechanics (no stale temporary
 clauses survive a closed scope, and the scope's clauses are physically
 reclaimed rather than left inert), selector recycling, scope nesting and
-independence, the process-wide solver pool's checkout/reuse semantics,
-and the per-query solver-statistics deltas that sessions report.
+independence, the one solve–read–block loop (``Scope.each_model``), the
+process-wide solver pool's checkout/reuse semantics, and the per-query
+solver-statistics deltas that sessions report.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 from repro.errors import SolverError
 from repro.logic.atoms import Literal
 from repro.logic.parser import parse_database, parse_formula
+from repro.obs.accounting import observe
 from repro.sat.cdcl import CdclSolver
 from repro.sat.incremental import (
     DEFAULT_POOL_MAXSIZE,
@@ -135,6 +137,56 @@ class TestScopeNesting:
             assert second.solve(), "first scope's unit not enforced"
         assert first.solve()
         first.close()
+
+
+# ----------------------------------------------------------------------
+# The solve–read–block loop
+# ----------------------------------------------------------------------
+VOCABULARY = sorted(DB.vocabulary)
+
+
+class TestEachModel:
+    def test_reads_restrict_to_but_blocks_project(self):
+        solver = IncrementalSatSolver(parse_database("a | b."))
+        with solver.scope() as scope:
+            models = list(scope.each_model(["a"], restrict_to=["a", "b"]))
+        # One model per value of a; the a-false one shows b.
+        assert len(models) == 2
+        assert {"a" in m for m in models} == {True, False}
+        assert frozenset({"b"}) in models
+
+    def test_assumptions_hold_on_every_solve(self):
+        solver = IncrementalSatSolver(DB)
+        with solver.scope() as scope:
+            models = list(
+                scope.each_model(VOCABULARY, [Literal.pos("a")])
+            )
+        assert sorted(sorted(m) for m in models) == [
+            ["a", "b", "c"], ["a", "c"],
+        ]
+
+    def test_abandoned_iteration_adds_no_block(self):
+        solver = IncrementalSatSolver(DB)
+        with solver.scope() as scope:
+            models = scope.each_model(VOCABULARY)
+            next(models)
+            models.close()
+            assert scope.clauses_added == 0
+            assert len(list(scope.each_model(VOCABULARY))) == 3
+
+    def test_blocks_retract_with_the_scope(self):
+        with pooled_scope(DB, context=("db",)) as scope:
+            assert len(list(scope.each_model(VOCABULARY))) == 3
+        with pooled_scope(DB, context=("db",)) as scope:
+            assert len(list(scope.each_model(VOCABULARY))) == 3
+        assert SOLVER_POOL.stats()["solver_reuses"] == 1
+
+    def test_empty_project_makes_one_solve(self):
+        with pooled_scope(DB, context=("db",)) as scope:
+            with observe() as window:
+                models = list(scope.each_model([]))
+        assert models == [frozenset()]
+        assert window.np_calls == 1
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ from repro.semantics import get_semantics
 from repro.semantics.gcwa import free_for_negation_brute
 
 import reference_models as reference
-from conftest import ATOMS, databases, positive_databases, random_small_db
+from conftest import ATOMS, databases, random_small_db
 
 #: Random subsets of the shared atom pool.
 atom_sets = st.lists(st.sampled_from(ATOMS), unique=True).map(frozenset)

@@ -2,12 +2,11 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings
 
 from repro.complexity.machines import linear_inference, theta_inference
 from repro.complexity.oracles import OracleProfile, Sigma2Oracle, profile
-from repro.logic.formula import Not, Var
+from repro.logic.formula import Var
 from repro.logic.parser import parse_database, parse_formula
 from repro.obs.accounting import observe
 from repro.semantics import get_semantics

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given
 
-from repro.logic.formula import Not, Var
+from repro.logic.formula import Var
 from repro.logic.parser import parse_database, parse_formula
 from repro.models.enumeration import (
     minimal_models_brute,
@@ -17,7 +17,7 @@ from repro.sat.minimal import (
     minimal_models,
 )
 
-from conftest import databases, positive_databases
+from conftest import databases
 
 
 class TestMinimalModels:

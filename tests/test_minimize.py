@@ -15,7 +15,6 @@ from repro.adversary.minimize import (
     erase_atom,
     minimize_database,
 )
-from repro.logic.clause import Clause
 from repro.logic.parser import parse_database
 
 

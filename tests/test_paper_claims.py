@@ -3,8 +3,6 @@
 Every test here is traceable to a specific statement of the paper.
 """
 
-import pytest
-
 from repro.complexity.classes import (
     CC,
     ROW_ORDER,
@@ -15,7 +13,7 @@ from repro.complexity.classes import (
     Task,
     table,
 )
-from repro.logic.parser import parse_database, parse_formula
+from repro.logic.parser import parse_database
 from repro.semantics import get_semantics
 
 

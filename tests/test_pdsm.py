@@ -1,9 +1,7 @@
 """Tests for the Partial Disjunctive Stable Model semantics."""
 
-import pytest
 from hypothesis import given
 
-from repro.logic.formula import TRUE3, UNDEF3
 from repro.logic.interpretation import ThreeValuedInterpretation
 from repro.logic.parser import parse_database, parse_formula
 from repro.semantics import get_semantics
@@ -14,7 +12,7 @@ from repro.semantics.pdsm import (
     satisfies_reduct,
 )
 
-from conftest import databases, positive_databases
+from conftest import databases
 
 
 def tvi(true, possible):

@@ -12,7 +12,7 @@ from repro.semantics.perf import (
     preferable,
     preferable_witness,
 )
-from repro.workloads import win_move_cycle, win_move_path
+from repro.workloads import win_move_path
 
 from conftest import databases, positive_databases
 

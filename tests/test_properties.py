@@ -20,7 +20,6 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.logic.clause import Clause
 from repro.logic.database import DisjunctiveDatabase
 from repro.models.enumeration import minimal_models_brute
 from repro.sat.decompose import product_interpretations

@@ -22,7 +22,6 @@ from repro.complexity.verify import check_reduction
 from repro.errors import ReproError
 from repro.logic.atoms import Literal
 from repro.logic.formula import And, Not, Or, Var
-from repro.logic.interpretation import all_interpretations
 from repro.logic.parser import parse_database
 from repro.models.enumeration import minimal_models_brute
 from repro.qbf.formula import exists_forall, forall_exists, dnf_formula

@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.logic.parser import parse_database
 from repro.repl import Repl
 

@@ -7,7 +7,6 @@ from hypothesis import given
 
 from repro.errors import SolverError
 from repro.logic.atoms import Literal
-from repro.logic.formula import And, Not, Or, Var
 from repro.logic.parser import parse_database, parse_formula
 from repro.sat.dpll import solve_dpll
 from repro.sat.enumerate import count_models, iter_models

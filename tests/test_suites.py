@@ -1,7 +1,5 @@
 """Tests pinning the named instance suites (reproducibility stamps)."""
 
-import pytest
-
 from repro.workloads.suites import (
     ALL_SUITES,
     normal_suite,

@@ -1,7 +1,5 @@
 """Tests for the Tables 1/2 reproduction harness (repro.tables)."""
 
-import pytest
-
 from repro.complexity.classes import Regime, Task
 from repro.tables import claims_grid, measure_cell, render_table
 from repro.tables.evidence import CellEvidence

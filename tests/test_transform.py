@@ -1,15 +1,11 @@
 """Tests for repro.logic.transform."""
 
-import itertools
-
 import pytest
 from hypothesis import given
 
 from repro.logic.clause import Clause
-from repro.logic.database import DisjunctiveDatabase
 from repro.logic.formula import FALSE3, TRUE3, UNDEF3
 from repro.logic.interpretation import (
-    Interpretation,
     ThreeValuedInterpretation,
     all_interpretations,
 )

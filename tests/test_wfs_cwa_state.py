@@ -9,7 +9,6 @@ from repro.errors import NotPositiveError
 from repro.logic.parser import parse_database, parse_formula
 from repro.semantics import get_semantics
 from repro.semantics.cwa import (
-    cwa_closure,
     cwa_consistent_linear,
     cwa_consistent_theta,
     cwa_free_atoms,
