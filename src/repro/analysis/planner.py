@@ -87,7 +87,7 @@ from typing import Any, Dict, FrozenSet, Optional, Tuple, Union
 
 from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
-from ..logic.formula import Formula, Var
+from ..logic.formula import Formula, Not, Var
 from ..logic.interpretation import Interpretation
 from ..semantics.base import Semantics, ground_query, literal_formula
 from .cost import (
@@ -616,9 +616,9 @@ class PlannedSemantics(Semantics):
     ) -> bool:
         """GCWA-family formula inference: classical entailment from the
         memoized founded ``ff(DB)`` closure."""
-        from ..semantics.gcwa import closure_counter_model
+        from ..semantics.gcwa import closure_model
 
-        return closure_counter_model(db, hcf_free_atoms(db), formula) is None
+        return closure_model(db, hcf_free_atoms(db), Not(formula)) is None
 
     # ------------------------------------------------------------------
     def cache_params(self) -> tuple:

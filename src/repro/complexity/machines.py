@@ -362,7 +362,7 @@ def linear_inference(
     one Σ₂ᵖ query per atom to compute ``S*`` directly, then one classical
     check of the augmented theory."""
     from ..semantics.base import ground_query
-    from ..semantics.gcwa import closure_counter_model
+    from ..semantics.gcwa import closure_model
 
     oracle = oracle or Sigma2Oracle()
     formula = ground_query(db, formula)
@@ -377,7 +377,7 @@ def linear_inference(
         if oracle.query(db, Var(atom), p=p_set, z=z):
             surviving.add(atom)
     negated = frozenset(p_set) - surviving
-    inferred = closure_counter_model(db, negated, formula) is None
+    inferred = closure_model(db, negated, Not(formula)) is None
     return ThetaResult(
         inferred=inferred,
         witness_count=len(surviving),

@@ -11,10 +11,11 @@ This module is the single place where those dispatches are ticked:
   exact same stream of events as the budget governor.
 * :func:`sigma2_dispatch` / :func:`counts_as_sigma2_dispatch` — one
   Σ₂ᵖ-oracle invocation.  Only the *primitive realizations* are marked
-  (the three ``find_minimal_satisfying`` methods and the union-query
-  machine) — wrappers like :class:`repro.complexity.oracles.Sigma2Oracle`
-  delegate 1:1 and must not be marked, or the bookkeeping would fake a
-  nesting depth of two for a flat procedure.
+  (``MinimalModelSolver.find_minimal_satisfying``, its sweep
+  ``_sweep_witness`` and the union-query machine) — wrappers like
+  :class:`repro.complexity.oracles.Sigma2Oracle` delegate 1:1 and must
+  not be marked, or the bookkeeping would fake a nesting depth of two
+  for a flat procedure.
 * :func:`note_nodes` — brute-force search nodes, fed from
   :func:`repro.runtime.budget.note_nodes`.
 

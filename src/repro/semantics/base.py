@@ -1,14 +1,20 @@
 """Semantics interface and registry.
 
 Every semantics studied by the paper is exposed as a class implementing
-:class:`Semantics` with the paper's three decision problems:
+:class:`Semantics`: :meth:`Semantics.model_set`, the set of selected
+models (may be exponential; intended for inspection and tests), and one
+search, :meth:`Semantics.selected_model`, a selected model satisfying a
+condition or ``None``.  The paper's decision problems derive from them:
 
-* :meth:`Semantics.model_set` — the set of selected models (may be
-  exponential; intended for inspection and tests),
-* :meth:`Semantics.infers` — formula inference (truth in all selected
-  models),
+* :meth:`Semantics.counter_model` — a selected model falsifying a
+  formula (condition ¬F), the certificate that cautious inference fails,
+* :meth:`Semantics.infers` — formula inference (no counter-model),
+* :meth:`Semantics.infers_brave` — brave inference (condition F),
 * :meth:`Semantics.infers_literal` — literal inference,
 * :meth:`Semantics.has_model` — model existence under the semantics.
+
+A class overrides a derived query only where the paper gives a cheaper
+procedure (the tractable literal cells, say).
 
 Each class offers an ``engine`` switch:
 
@@ -37,7 +43,7 @@ from __future__ import annotations
 import contextlib
 import functools
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Tuple, Type, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Type, Union
 
 from ..errors import ReproError
 from ..logic.atoms import Literal
@@ -236,7 +242,7 @@ class Semantics(ABC):
         return ()
 
     # ------------------------------------------------------------------
-    # The three decision problems
+    # The one search, and the decision problems derived from it
     # ------------------------------------------------------------------
     @abstractmethod
     def model_set(
@@ -244,14 +250,31 @@ class Semantics(ABC):
     ) -> FrozenSet[Interpretation]:
         """The set of models selected by this semantics."""
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        """Formula inference: truth of ``formula`` in every selected model.
+    def selected_model(
+        self, db: DisjunctiveDatabase, condition: Formula
+    ) -> Optional[Interpretation]:
+        """A selected model satisfying ``condition``, or ``None``.
 
-        Default implementation materializes :meth:`model_set`; oracle
-        engines override this with decision procedures that do not.
+        ``condition`` is ground in ``db``'s vocabulary.  Default: scan
+        :meth:`model_set`; oracle engines override this with the
+        guess-and-check search of the semantics' membership proof.
         """
+        return next(
+            (m for m in self.model_set(db) if m.satisfies(condition)), None
+        )
+
+    def counter_model(
+        self, db: DisjunctiveDatabase, formula: Formula
+    ) -> Optional[Interpretation]:
+        """A selected model falsifying ``formula`` — the certificate that
+        cautious inference fails — or ``None`` when it is inferred."""
         self.validate(db)
-        return all(m.satisfies(formula) for m in self.model_set(db))
+        return self.selected_model(db, Not(ground_query(db, formula)))
+
+    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
+        """Formula inference: truth of ``formula`` in every selected
+        model, i.e. no counter-model."""
+        return self.counter_model(db, formula) is None
 
     def infers_literal(
         self, db: DisjunctiveDatabase, literal: Union[Literal, str]
@@ -273,12 +296,10 @@ class Semantics(ABC):
         """*Brave* (credulous) inference: truth of ``formula`` in at
         least one selected model — the companion mode to the cautious
         :meth:`infers` (beyond the paper's tables, which are cautious
-        throughout).  Default: materialize :meth:`model_set`; oracle
-        engines override where a witness search is available.
+        throughout): the same search with ``F`` in place of ``¬F``.
         """
         self.validate(db)
-        formula = ground_query(db, formula)
-        return any(m.satisfies(formula) for m in self.model_set(db))
+        return self.selected_model(db, ground_query(db, formula)) is not None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -27,8 +27,8 @@ from ..sat.enumerate import iter_models
 from ..sat.minimal import MinimalModelSolver
 from ..sat.solver import database_is_consistent
 from .ecwa import PartitionedSemantics
-from .base import ground_query, register
-from .gcwa import augmented_database, closure_counter_model
+from .base import register
+from .gcwa import augmented_database, closure_model
 
 
 @register
@@ -65,19 +65,18 @@ class Ccwa(PartitionedSemantics):
             iter_models(augmented, project=db.vocabulary)
         )
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        return closure_counter_model(db, self.free_atoms(db), formula) is None
+            return super().selected_model(db, condition)
+        return closure_model(db, self.free_atoms(db), condition)
 
     def infers_literal(self, db: DisjunctiveDatabase, literal) -> bool:
         if isinstance(literal, str):
             literal = Literal.parse(literal)
         self.validate(db)
         if self.engine == "brute":
-            return super().infers_literal(db, literal)
+            return self.infers(db, Var(literal.atom) if literal.positive
+                           else ~Var(literal.atom))
         p, _q, _z = self.partition(db)
         if not literal.positive and literal.atom in p:
             # ¬x for x ∈ P: exactly the closure test MM(DB;P;Z) |= ¬x

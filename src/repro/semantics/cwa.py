@@ -33,8 +33,8 @@ from ..logic.formula import Formula
 from ..logic.transform import rename_atoms
 from ..sat.enumerate import iter_models
 from ..sat.incremental import pooled_scope
-from .base import Semantics, ground_query, register
-from .gcwa import augmented_database, closure_counter_model
+from .base import Semantics, register
+from .gcwa import augmented_database, closure_model
 
 
 def cwa_free_atoms(db: DisjunctiveDatabase) -> FrozenSet[str]:
@@ -204,12 +204,10 @@ class Cwa(Semantics):  # lint: ok RPR005 -- baseline outside Tables 1/2
         closure = cwa_closure(db)
         return frozenset(iter_models(closure, project=db.vocabulary))
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        return closure_counter_model(db, cwa_free_atoms(db), formula) is None
+            return super().selected_model(db, condition)
+        return closure_model(db, cwa_free_atoms(db), condition)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

@@ -38,8 +38,8 @@ from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from ..sat.enumerate import iter_models
 from ..sat.incremental import pooled_scope
-from .base import Semantics, ground_query, register
-from .gcwa import augmented_database, closure_counter_model
+from .base import Semantics, register
+from .gcwa import augmented_database, closure_model
 
 
 def possibly_true_atoms(db: DisjunctiveDatabase) -> FrozenSet[str]:
@@ -109,14 +109,11 @@ class Ddr(Semantics):
             iter_models(augmented, project=db.vocabulary)
         )
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        # coNP upper bound: polynomial fixpoint + one UNSAT call.
-        negated = self.negated_atoms(db)
-        return closure_counter_model(db, negated, formula) is None
+            return super().selected_model(db, condition)
+        # coNP upper bound: polynomial fixpoint + one SAT call.
+        return closure_model(db, self.negated_atoms(db), condition)
 
     def infers_literal(self, db: DisjunctiveDatabase, literal) -> bool:
         if isinstance(literal, str):

@@ -20,12 +20,12 @@ from __future__ import annotations
 from typing import FrozenSet, Iterator, Optional
 
 from ..logic.database import DisjunctiveDatabase
-from ..logic.formula import Formula, Not
+from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation, all_interpretations
 from ..logic.transform import gl_reduct
 from ..sat.incremental import pooled_scope
 from ..sat.minimal import MinimalModelSolver
-from .base import Semantics, ground_query, register
+from .base import Semantics, register
 
 
 def is_stable_model(db: DisjunctiveDatabase, model: Interpretation) -> bool:
@@ -88,24 +88,11 @@ class Dsm(Semantics):
                 if is_stable_model(db, candidate):
                     yield candidate
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        for _counterexample in self._iter_stable(db, condition=Not(formula)):
-            return False
-        return True
-
-    def infers_brave(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
-        if self.engine == "brute":
-            return super().infers_brave(db, formula)
-        # Σ₂ᵖ witness search: a stable model satisfying the formula.
-        for _witness in self._iter_stable(db, condition=formula):
-            return True
-        return False
+            return super().selected_model(db, condition)
+        # Σ₂ᵖ witness search: a stable model satisfying the condition.
+        return next(self._iter_stable(db, condition), None)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

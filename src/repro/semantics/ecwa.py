@@ -28,7 +28,7 @@ from ..logic.interpretation import Interpretation
 from ..models.enumeration import pz_minimal_models_brute
 from ..sat.minimal import MinimalModelSolver
 from ..sat.solver import database_is_consistent
-from .base import Semantics, ground_query, register
+from .base import Semantics, register
 
 
 class PartitionedSemantics(Semantics):
@@ -83,24 +83,13 @@ class Ecwa(PartitionedSemantics):
         with MinimalModelSolver(db, [p], z) as solver:
             return frozenset(solver.iter_minimal_models())
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
+            return super().selected_model(db, condition)
+        # Σ₂ᵖ witness search: a (P;Z)-minimal model satisfying it.
         p, _q, z = self.partition(db)
         with MinimalModelSolver(db, [p], z) as solver:
-            return solver.entails(formula)
-
-    def infers_brave(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
-        if self.engine == "brute":
-            return super().infers_brave(db, formula)
-        # Σ₂ᵖ witness search: a (P;Z)-minimal model satisfying the formula.
-        p, _q, z = self.partition(db)
-        with MinimalModelSolver(db, [p], z) as solver:
-            return solver.find_minimal_satisfying(formula) is not None
+            return solver.find_minimal_satisfying(condition)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

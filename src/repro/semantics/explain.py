@@ -7,7 +7,8 @@ internal witnesses into objects a caller (or a test) can re-check
 independently:
 
 * :func:`explain_non_inference` — a counter-model certificate for
-  ``DB ⊭_S F``, with the per-semantics membership evidence spelled out;
+  ``DB ⊭_S F``: the witness of the semantics' own search, checked by a
+  per-semantics membership test;
 * :func:`derivation_of` — a step-by-step derivation of a possibly-true
   atom (the DDR/PWS fixpoint), each step naming the clause used;
 * :func:`explain_closure_literal` — for GCWA/CCWA: the minimal-model
@@ -25,7 +26,7 @@ from typing import List, Optional, Union
 from ..errors import NotPositiveError, ReproError
 from ..logic.clause import Clause
 from ..logic.database import DisjunctiveDatabase
-from ..logic.formula import Formula, Not, Var
+from ..logic.formula import Formula, Var
 from ..logic.interpretation import Interpretation, ThreeValuedInterpretation
 from .base import get_semantics, ground_query
 
@@ -151,64 +152,15 @@ def explain_non_inference(
     semantics: str = "egcwa",
 ) -> Optional[CounterModelCertificate]:
     """A checkable counter-model for ``DB ⊭_S F``, or ``None`` when the
-    formula *is* inferred."""
+    formula *is* inferred: the witness of the semantics' own search
+    (:meth:`~repro.semantics.base.Semantics.counter_model`)."""
     engine = get_semantics(semantics)
-    engine.validate(db)
-    query = ground_query(db, formula)
-    negated = Not(query)
-    name = engine.name
-    if name in ("egcwa", "ecwa"):
-        from ..sat.minimal import MinimalModelSolver
-
-        with MinimalModelSolver(db) as solver:
-            witness = solver.find_minimal_satisfying(negated)
-    elif name == "gcwa":
-        from .gcwa import Gcwa, closure_counter_model
-
-        witness = closure_counter_model(db, Gcwa().free_atoms(db), query)
-    elif name == "ddr":
-        from .ddr import Ddr
-        from .gcwa import closure_counter_model
-
-        witness = closure_counter_model(db, Ddr().negated_atoms(db), query)
-    elif name == "pws":
-        witness = next(
-            get_semantics("pws")._iter_possible_models(db, condition=negated),
-            None,
-        )
-    elif name == "dsm":
-        witness = next(
-            get_semantics("dsm")._iter_stable(db, condition=negated), None
-        )
-    elif name == "perf":
-        from .perf import priorities_for
-
-        priorities = priorities_for(db)
-        witness = next(
-            get_semantics("perf")._iter_perfect(
-                db, priorities, condition=negated
-            ),
-            None,
-        )
-    elif name == "pdsm":
-        from .pdsm import encode_degree
-
-        condition = Not(encode_degree(query, at_least_half=False))
-        witness = next(
-            get_semantics("pdsm")._iter_partial_stable(
-                db, condition=condition
-            ),
-            None,
-        )
-    else:
-        # Generic fallback: materialize the model set.
-        witness = next(
-            (m for m in engine.model_set(db) if not m.satisfies(query)),
-            None,
-        )
+    witness = engine.counter_model(db, formula)
     if witness is None:
         return None
-    return CounterModelCertificate(name, witness, query)
+    return CounterModelCertificate(
+        engine.name, witness, ground_query(db, formula)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from ..sat.enumerate import iter_models
 from ..sat.incremental import pooled_scope
 from ..sat.minimal import MinimalModelSolver
 from ..sat.solver import database_is_consistent
-from .base import Semantics, ground_query, register
+from .base import Semantics, register
 
 
 def free_for_negation_brute(db: DisjunctiveDatabase) -> FrozenSet[str]:
@@ -66,16 +66,17 @@ def augmented_database(
     return db.with_clauses(units)
 
 
-def closure_counter_model(
-    db: DisjunctiveDatabase, negated: FrozenSet[str], formula: Formula
+def closure_model(
+    db: DisjunctiveDatabase, negated: FrozenSet[str], condition: Formula
 ) -> Optional[Interpretation]:
-    """A model of ``DB ∪ {¬x : x ∈ negated}`` falsifying ``formula``, or
-    ``None`` when the closure entails it — the one SAT call of the coNP
-    closure checks (GCWA and CCWA once ``negated`` is known, DDR, CWA)."""
+    """A model of ``DB ∪ {¬x : x ∈ negated}`` satisfying ``condition``,
+    or ``None`` — the one SAT call of the coNP closure checks (GCWA and
+    CCWA once ``negated`` is known, DDR, CWA).  With ``¬F`` as the
+    condition, ``None`` means the closure entails ``F``."""
     with pooled_scope(
         augmented_database(db, negated), context=("db",)
     ) as sat:
-        sat.add_formula(formula, positive=False)
+        sat.add_formula(condition)
         if not sat.solve():
             return None
         return sat.model(restrict_to=db.vocabulary)
@@ -111,15 +112,13 @@ class Gcwa(Semantics):
             iter_models(augmented, project=db.vocabulary)
         )
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        # ff(DB) via |V| Σ₂ᵖ-primitive calls, then one classical
-        # entailment call on the augmented theory.  (The Θ₂ᵖ-style
-        # O(log n)-oracle-call algorithm is in repro.complexity.machines.)
-        return closure_counter_model(db, self.free_atoms(db), formula) is None
+            return super().selected_model(db, condition)
+        # ff(DB) via |V| Σ₂ᵖ-primitive calls, then one classical call on
+        # the augmented theory.  (The Θ₂ᵖ-style O(log n)-oracle-call
+        # algorithm is in repro.complexity.machines.)
+        return closure_model(db, self.free_atoms(db), condition)
 
     def infers_literal(self, db: DisjunctiveDatabase, literal) -> bool:
         if isinstance(literal, str):

@@ -36,7 +36,7 @@ from ..models.enumeration import (
     pz_minimal_models_brute,
 )
 from ..sat.minimal import MinimalModelSolver
-from .base import Semantics, ground_query, register
+from .base import Semantics, register
 from .stratification import Stratification, require_stratification
 
 
@@ -142,16 +142,12 @@ class Icwa(Semantics):
                 if solver.is_minimal(m)
             )
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        formula = ground_query(db, formula)
-        shifted, levels = self._setup(db)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            models = prioritized_minimal_models_brute(
-                shifted, levels, self.z
-            )
-            return all(m.satisfies(formula) for m in models)
+            return super().selected_model(db, condition)
+        shifted, levels = self._setup(db)
         with MinimalModelSolver(shifted, levels, self.z) as solver:
-            return solver.entails(formula)
+            return solver.find_minimal_satisfying(condition)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         # Paper, Table 2: O(1) — "stratifiability asserts consistency";

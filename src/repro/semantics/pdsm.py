@@ -275,33 +275,26 @@ class Pdsm(Semantics):
                 if is_partial_stable(db, candidate):
                     yield candidate
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        """Degree-1 truth of ``formula`` in every partial stable model."""
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
+        """A partial stable model giving ``condition`` degree 1."""
         if self.engine == "brute":
-            return all(
-                i.degree(formula) == TRUE3 for i in self.model_set(db)
-            )
-        counter_condition = Not(encode_degree(formula, at_least_half=False))
-        for _counterexample in self._iter_partial_stable(
-            db, condition=counter_condition
-        ):
-            return False
-        return True
+            return super().selected_model(db, condition)
+        encoded = encode_degree(condition, at_least_half=False)
+        return next(self._iter_partial_stable(db, encoded), None)
 
-    def infers_brave(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        """A partial stable model giving ``formula`` degree 1."""
+    def counter_model(self, db: DisjunctiveDatabase, formula: Formula):
+        """A partial stable model giving ``formula`` degree below 1 (not
+        :meth:`selected_model` of ``¬F``: in three values, ``¬F`` of
+        degree 1 is ``F`` of degree 0)."""
         self.validate(db)
-        formula = ground_query(db, formula)
+        query = ground_query(db, formula)
         if self.engine == "brute":
-            return any(
-                i.degree(formula) == TRUE3 for i in self.model_set(db)
+            return next(
+                (i for i in self.model_set(db) if not i.satisfies(query)),
+                None,
             )
-        condition = encode_degree(formula, at_least_half=False)
-        for _witness in self._iter_partial_stable(db, condition=condition):
-            return True
-        return False
+        encoded = Not(encode_degree(query, at_least_half=False))
+        return next(self._iter_partial_stable(db, encoded), None)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

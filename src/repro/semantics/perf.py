@@ -35,10 +35,10 @@ from typing import FrozenSet, Iterator, List, Optional
 from ..errors import NotPositiveError
 from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
-from ..logic.formula import Formula, Not
+from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from ..sat.incremental import pooled_scope
-from .base import Semantics, ground_query, register
+from .base import Semantics, register
 
 
 class PriorityRelation:
@@ -223,28 +223,12 @@ class Perf(Semantics):
                 if is_perfect(db, candidate, priorities):
                     yield candidate
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        priorities = priorities_for(db)
-        for _counterexample in self._iter_perfect(
-            db, priorities, condition=Not(formula)
-        ):
-            return False
-        return True
-
-    def infers_brave(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
-        if self.engine == "brute":
-            return super().infers_brave(db, formula)
-        priorities = priorities_for(db)
-        for _witness in self._iter_perfect(db, priorities,
-                                           condition=formula):
-            return True
-        return False
+            return super().selected_model(db, condition)
+        return next(
+            self._iter_perfect(db, priorities_for(db), condition), None
+        )
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

@@ -32,11 +32,11 @@ from typing import FrozenSet, Iterator, Optional
 from ..errors import GroundTruthCapError, NotPositiveError
 from ..logic.atoms import Literal
 from ..logic.database import DisjunctiveDatabase
-from ..logic.formula import Formula, Not
+from ..logic.formula import Formula
 from ..logic.interpretation import Interpretation
 from ..logic.transform import split_count, split_programs
 from ..sat.incremental import pooled_scope
-from .base import Semantics, ground_query, register
+from .base import Semantics, register
 from .ddr import possibly_true_atoms
 
 #: Split-enumeration safety bound for the brute engine.
@@ -124,18 +124,12 @@ class Pws(Semantics):
                 if is_possible_model(db, candidate):
                     yield candidate
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        # coNP guess-and-check: a counterexample is a possible model of
-        # DB satisfying ¬F; the possible-model check is polynomial.
-        for _counterexample in self._iter_possible_models(
-            db, condition=Not(formula)
-        ):
-            return False
-        return True
+            return super().selected_model(db, condition)
+        # coNP guess-and-check: a possible model of DB satisfying the
+        # condition; the possible-model check is polynomial.
+        return next(self._iter_possible_models(db, condition), None)
 
     def infers_literal(self, db: DisjunctiveDatabase, literal) -> bool:
         if isinstance(literal, str):

@@ -29,7 +29,7 @@ from ..logic.database import DisjunctiveDatabase
 from ..logic.formula import Formula, Iff, Not, Var, conj, disj
 from ..logic.interpretation import Interpretation
 from ..sat.incremental import pooled_scope
-from .base import Semantics, ground_query, register
+from .base import Semantics, register
 
 
 def _check_normal(db: DisjunctiveDatabase) -> None:
@@ -150,15 +150,15 @@ class Supported(Semantics):  # lint: ok RPR005 -- comparison semantics, no table
         with self._completion_scope(db) as sat:
             return frozenset(sat.each_model(sorted(db.vocabulary)))
 
-    def infers(self, db: DisjunctiveDatabase, formula: Formula) -> bool:
-        self.validate(db)
-        formula = ground_query(db, formula)
+    def selected_model(self, db: DisjunctiveDatabase, condition: Formula):
         if self.engine == "brute":
-            return super().infers(db, formula)
-        # One UNSAT call: comp(DB) ∧ ¬F.
+            return super().selected_model(db, condition)
+        # One SAT call: comp(DB) ∧ condition.
         with self._completion_scope(db) as sat:
-            sat.add_formula(Not(formula))
-            return not sat.solve()
+            sat.add_formula(condition)
+            if not sat.solve():
+                return None
+            return sat.model(restrict_to=db.vocabulary)
 
     def has_model(self, db: DisjunctiveDatabase) -> bool:
         self.validate(db)

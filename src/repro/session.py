@@ -299,8 +299,10 @@ class DatabaseSession:
                 certificate = explain_non_inference(
                     self.db, formula, engine.name
                 )
-            except Exception:
-                certificate = None  # engines without a certificate path
+            except ReproError:
+                # A budget trip or an injected fault: the verdict stands
+                # without its certificate.  Any other error is a defect.
+                certificate = None
         return Answer(
             verdict=verdict,
             semantics=engine.name,

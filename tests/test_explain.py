@@ -3,8 +3,13 @@
 import pytest
 from hypothesis import given
 
-from repro.errors import NotPositiveError, NotStratifiedError
+import repro.session as session_module
+from repro.errors import NotPositiveError, NotStratifiedError, ReproError
+from repro.logic.formula import Not
 from repro.logic.parser import parse_database, parse_formula
+from repro.obs.accounting import observe
+from repro.runtime.faults import FaultPlan, fault_plan
+from repro.sat.incremental import clear_solver_pool
 from repro.semantics import SEMANTICS, get_semantics
 from repro.semantics.explain import (
     derivation_of,
@@ -131,6 +136,110 @@ def test_session_certificates_check(name):
                 assert answer.certificate.check(db) is True, (db, query)
                 attached += 1
     assert attached
+
+
+def _cold_np_calls(call):
+    """``call()`` and its NP calls, on an empty solver pool."""
+    clear_solver_pool()
+    with observe() as window:
+        result = call()
+    return result, window.np_calls
+
+
+def _search_cases():
+    """``(name, db, formula)`` over seeded 6-atom databases of four
+    regimes, two formulas each, for every semantics defined on the
+    database."""
+    for generate in (
+        random_positive_db,
+        random_deductive_db,
+        random_stratified_db,
+        random_normal_db,
+    ):
+        for seed in range(3):
+            db = generate(6, 6, seed=seed)
+            first, *_, last = sorted(db.vocabulary)
+            for text in (f"{first} | ~{last}", f"{first} & ~{last}"):
+                formula = parse_formula(text)
+                for name in sorted(SEMANTICS):
+                    try:
+                        get_semantics(name).validate(db)
+                    except ReproError:
+                        continue
+                    yield name, db, formula
+
+
+def test_certificate_costs_what_the_verdict_costs():
+    """A certificate is the witness of the verdict's own search, so it
+    makes exactly as many NP calls as ``infers``."""
+    differing = []
+    for name, db, formula in _search_cases():
+        engine = get_semantics(name)
+        verdict, verdict_calls = _cold_np_calls(
+            lambda: engine.infers(db, formula)
+        )
+        certificate, certificate_calls = _cold_np_calls(
+            lambda: explain_non_inference(db, formula, name)
+        )
+        assert (certificate is None) == verdict, (name, db, formula)
+        if certificate is not None:
+            assert certificate.check(db), (name, db, formula)
+        if certificate_calls != verdict_calls:
+            differing.append((name, str(formula), certificate_calls,
+                              verdict_calls))
+    assert differing == []
+
+
+def test_brave_is_the_cautious_search_with_f_for_not_f():
+    """Brave ``F`` is cautious ``¬F`` negated, searched the same way:
+    same answer, same NP calls.  PDSM is the exception by design (in
+    three values ``¬F`` of degree 1 is ``F`` of degree 0)."""
+    differing = []
+    for name, db, formula in _search_cases():
+        if name == "pdsm":
+            continue
+        engine = get_semantics(name)
+        brave, brave_calls = _cold_np_calls(
+            lambda: engine.infers_brave(db, formula)
+        )
+        cautious, cautious_calls = _cold_np_calls(
+            lambda: engine.infers(db, Not(formula))
+        )
+        assert brave == (not cautious), (name, db, formula)
+        if brave_calls != cautious_calls:
+            differing.append((name, str(formula), brave_calls,
+                              cautious_calls))
+    assert differing == []
+
+
+def test_certificate_search_defect_propagates(simple_db, monkeypatch):
+    """Every semantics has a certificate search, so a failure that is
+    not a :class:`ReproError` there is a defect, not "no certificate"."""
+
+    def broken(db, formula, semantics):
+        raise TypeError("defect in the certificate search")
+
+    monkeypatch.setattr(session_module, "explain_non_inference", broken)
+    with pytest.raises(TypeError, match="certificate search"):
+        DatabaseSession(simple_db).ask("c", semantics="egcwa")
+
+
+def test_certificate_search_fault_keeps_the_verdict(simple_db, monkeypatch):
+    """An injected fault during the certificate search (a
+    :class:`ReproError`, like a budget trip) drops the certificate and
+    keeps the verdict."""
+    real = session_module.explain_non_inference
+    plan = FaultPlan(sat_fault_rate=1.0)
+
+    def faulty(db, formula, semantics):
+        with fault_plan(plan):
+            return real(db, formula, semantics)
+
+    monkeypatch.setattr(session_module, "explain_non_inference", faulty)
+    answer = DatabaseSession(simple_db).ask("c", semantics="egcwa")
+    assert plan.sat_faults == 1
+    assert answer.verdict is False
+    assert answer.certificate is None
 
 
 class TestDerivations:

@@ -130,6 +130,62 @@ def test_closure_infers_reach_the_sweep_primitive(clean_report):
         ), cls
 
 
+def test_conp_selected_model_leak_flagged(injected_report):
+    """A fake coNP (``pws``-row) semantics whose only search,
+    ``selected_model``, dispatches ``find_minimal_satisfying`` is RPR101
+    for the inherited ``infers()`` and ``infers_literal()``: the base
+    class derives both from that search."""
+    hits = [
+        finding
+        for finding in findings_in(
+            injected_report, "conp_selected_model_leak.py"
+        )
+        if finding.rule == "RPR101"
+    ]
+    line = marker_line("conp_selected_model_leak.py", "class LeakyPwsSearch")
+    assert [finding.line for finding in hits] == [line, line]
+    messages = " ".join(finding.message for finding in hits)
+    assert "infers()" in messages and "infers_literal()" in messages
+    for finding in hits:
+        assert "find_minimal_satisfying" in finding.message
+        assert "selected_model" in finding.message  # witness path
+
+
+def test_entry_points_reach_their_selected_model(clean_report):
+    """Every registered semantics that defines ``selected_model`` has it
+    reachable from its ``infers()``.  RPR101 skips an entry point it
+    cannot resolve, so a broken ``infers -> counter_model ->
+    selected_model`` link would silently exempt the search.
+
+    PDSM alone overrides ``counter_model`` (in three values ``¬F`` of
+    degree 1 is ``F`` of degree 0, not below 1), so its ``infers()``
+    reaches that override, and its ``selected_model`` is reached from
+    ``infers_brave()``."""
+    from repro.semantics import SEMANTICS
+
+    graph = checker.build_graph()
+
+    def reached_from(qualname, method):
+        start = graph.resolve_method(qualname, method)
+        assert start is not None, (qualname, method)
+        return graph.reachable(
+            start, self_class=qualname, skip_brute=True, skip_fallback=True
+        )
+
+    searched = 0
+    for cls in SEMANTICS.values():
+        if "selected_model" not in vars(cls):
+            continue
+        searched += 1
+        qualname = f"{cls.__module__}.{cls.__qualname__}"
+        search = f"{qualname}.selected_model"
+        assert search in reached_from(qualname, "infers_brave"), qualname
+        if "counter_model" in vars(cls):
+            search = f"{qualname}.counter_model"
+        assert search in reached_from(qualname, "infers"), qualname
+    assert searched >= 11
+
+
 def test_unguarded_write_fixture(injected_report):
     """Mixed guarded/unguarded mutation: RPR201 for the plain write,
     RPR202 for the read-modify-write, each at the seeded line."""
@@ -184,8 +240,9 @@ def test_executor_escape_fixture(injected_report):
 
 
 def test_nightly_sweep_skips_injection_dir(tmp_path):
-    """Sweeping a *directory* skips the seeded fixtures (the nightly
-    ``check tests/`` gate must stay clean); explicit files analyze."""
+    """Sweeping a *directory* skips the seeded fixtures (the CI
+    ``check tests benchmarks`` gate must stay clean); explicit files
+    analyze."""
     assert checker._expand_extra([FIXTURES.parent]) == []
     one = FIXTURES / "runtime_stats_rmw.py"
     assert checker._expand_extra([one]) == [one]
