@@ -21,7 +21,11 @@ the guess-and-check of the paper's upper-bound proofs: guess a model of
 the theory and G, check its minimality with NP calls
 (:meth:`~MinimalModelSolver.witness_below`), block a rejected guess.
 Whether ``M`` is minimal depends only on ``M ∖ Z``, so a rejected
-guess is blocked on that projection.
+guess is blocked on that projection.  The closure sweep
+(:meth:`~MinimalModelSolver.free_atoms`) blocks more per rejection: it
+shrinks the model below the guess to a minimal model and blocks the
+whole cone strictly above it, as enumeration does, so an atom that
+occurs in many models costs a few shrinks, not one check per model.
 
 The solver runs on *one* pooled
 :class:`~repro.sat.incremental.IncrementalSatSolver` per database: the
@@ -102,6 +106,7 @@ class MinimalModelSolver:
         q = db.vocabulary - flat - self.z
         db.check_partition(flat, q, self.z)
         self.levels = [tuple(sorted(level)) for level in sets]
+        self._level_atoms = tuple(itertools.chain.from_iterable(self.levels))
         self.q = tuple(sorted(q))
         self._visible = tuple(sorted(db.vocabulary - self.z))
         self._pool_key, self._inc = acquire_solver(db=db, context=("db",))
@@ -220,13 +225,33 @@ class MinimalModelSolver:
         self, searcher: Scope, atom: str
     ) -> Optional[Interpretation]:
         """One atom of :meth:`free_atoms`: a minimal model containing
-        ``atom``, or ``None``.  Same loop as
-        :meth:`find_minimal_satisfying` (one Σ₂ᵖ dispatch), with the atom
-        as an assumption so the whole sweep shares one scope."""
-        for candidate in self._candidates(searcher, [Literal.pos(atom)]):
-            if self.is_minimal(candidate):
-                return candidate
-        return None
+        ``atom``, or ``None`` (one Σ₂ᵖ dispatch, the atom an assumption
+        so the whole sweep shares one scope).
+
+        A refuted guess is shrunk, from the model below it, to a minimal
+        model ``M``, and ``searcher`` then excludes ``M``'s strict cone:
+        every model with ``M``'s ``Q`` part and a proper superset of its
+        level atoms, all above ``M`` in the order.  With one level the
+        guess lies in that cone; with several it may not, and is then
+        blocked on ``V ∖ Z`` by itself.  ``M`` stays admissible — it may
+        witness a later atom.
+        """
+        assumption = [Literal.pos(atom)]
+        while True:
+            check_deadline()
+            if not searcher.solve(assumption):
+                return None
+            guess = searcher.model(restrict_to=self.db.vocabulary)
+            below = self.witness_below(guess)
+            if below is None:
+                return guess
+            minimal = self.shrink(below)
+            cone = self._cone_clause(minimal)
+            for b in self._level_atoms:
+                if b not in minimal:
+                    searcher.add_clause([*cone, Literal.neg(b)])
+            if any(b in minimal and b not in guess for b in self._level_atoms):
+                searcher.add_clause(blocking_clause(guess, self._visible))
 
     def free_atoms(self) -> frozenset:
         """The first-level atoms true in no minimal model — ``ff(DB)``
@@ -235,11 +260,15 @@ class MinimalModelSolver:
 
         Every atom is asked in a single scope on the persistent solver,
         as a solver *assumption* instead of a scope formula, so learned
-        clauses, variable activities and the blocks of rejected
-        candidates (non-minimal whatever the atom) carry over from atom
-        to atom.  Accounting: each atom is one Σ₂ᵖ dispatch, exactly as
-        for a per-atom :meth:`find_minimal_satisfying` loop, so certifier
-        envelopes over the sweep are the per-query ones.
+        clauses, variable activities and the blocked cones carry over
+        from atom to atom: a cone holds only models above a minimal
+        model, non-minimal whatever the atom.  A refuted guess costs its
+        shrink but blocks the whole cone above the minimal model it
+        shrinks to, so an atom no constraint touches is settled in a few
+        NP calls instead of one per model containing it.  Accounting:
+        each atom is one Σ₂ᵖ dispatch, exactly as for a per-atom
+        :meth:`find_minimal_satisfying` loop, so certifier envelopes over
+        the sweep are the per-query ones.
         """
         with self._inc.scope() as searcher:
             return frozenset(
@@ -288,11 +317,17 @@ class MinimalModelSolver:
                     yield from self._z_extensions(minimal)
                 else:
                     yield minimal
-                cone = [Literal.neg(a) for a in self.levels[0] if a in minimal]
-                cone += blocking_clause(minimal, self.q)
+                cone = self._cone_clause(minimal)
                 if not cone:
                     return  # every model lies above the one minimal model
                 blocker.add_clause(cone)
+
+    def _cone_clause(self, minimal: Interpretation) -> List[Literal]:
+        """The clause excluding the cone at ``minimal``: every model with
+        its ``Q`` part that keeps all its level atoms (levels flattened
+        in order)."""
+        cone = [Literal.neg(a) for a in self._level_atoms if a in minimal]
+        return cone + blocking_clause(minimal, self.q)
 
     def _z_extensions(
         self, minimal: Interpretation
